@@ -29,20 +29,6 @@ def lyapunov_value(state, target):
     return float(0.5 * (1.0 - abs(np.vdot(phi, psi)) ** 2))
 
 
-def lyapunov_floor(radius):
-    """The quadratic-quartic floor R^2 - R^4/4 for the exceedance bound.
-
-    Documented behavior kept for reference: this expression overshoots the
-    attainable minimum of V on {equivalence_distance >= R} (it even exceeds
-    max V = 1/2 for R near 2), so probability bounds built on it are not
-    sound. Use min_lyapunov_at_distance for the tight floor.
-    """
-    r = float(radius)
-    if not (0.0 < r < 2.0):
-        raise PreconditionError(f"radius must lie in (0, 2), got {r}")
-    return r * r - 0.25 * r ** 4
-
-
 def min_lyapunov_at_distance(radius):
     """Tight floor: min of V over {equivalence_distance >= R}.
 

@@ -28,6 +28,11 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _require_dt(dt):
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValidationError(f"dt must be finite and > 0, got {dt}")
+
+
 @dataclass(frozen=True)
 class WienerPath:
     """A seeded sequence of Wiener increments on a uniform grid.
@@ -42,8 +47,7 @@ class WienerPath:
 
     @classmethod
     def generate(cls, seed, steps, dt):
-        if dt <= 0.0:
-            raise ValidationError(f"dt must be > 0, got {dt}")
+        _require_dt(dt)
         if steps < 0:
             raise ValidationError(f"steps must be >= 0, got {steps}")
         inc = _rng(seed).normal(0.0, np.sqrt(dt), int(steps))
@@ -94,8 +98,7 @@ class _Stepper:
 
     def __init__(self, model, law, dt):
         law.require_matching(model)
-        if dt <= 0.0:
-            raise ValidationError(f"dt must be > 0, got {dt}")
+        _require_dt(dt)
         self.model = model
         self.law = law
         self.dt = float(dt)
@@ -153,26 +156,24 @@ class _Stepper:
         psi_next = safe / safe_norms[:, None]
         return psi_next, fid, x_mean, u, norms, ok
 
-    def run(self, psi0_rows, increments, on_record=None, record_stride=1):
+    def run(self, psi0_rows, increments, observe=None):
         """Propagate rows through increments.shape[1] steps.
 
-        on_record(index, psi, fid, x_mean) is called on recorded indices
-        (multiples of record_stride and the final index). Returns the final
-        rows and a boolean mask of rows that never collapsed.
+        observe(i, psi, fid, x_mean, u, norms, ok), when given, sees the
+        pre-step rows of step i and that step's outputs. Returns the final
+        rows, their (fid, x_mean) and a boolean mask of rows that never
+        collapsed.
         """
         psi = np.array(psi0_rows, dtype=np.complex128)
-        steps = increments.shape[1]
         alive = np.ones(psi.shape[0], dtype=bool)
-        for i in range(steps):
-            if on_record is not None and i % record_stride == 0:
-                fid, x_mean, _, _ = self.diagnostics(psi)
-                on_record(i, psi, fid, x_mean)
-            psi, _, _, _, _, ok = self.step(psi, increments[:, i])
+        for i in range(increments.shape[1]):
+            psi_next, fid, x_mean, u, norms, ok = self.step(psi, increments[:, i])
+            if observe is not None:
+                observe(i, psi, fid, x_mean, u, norms, ok)
             alive &= ok
-        if on_record is not None:
-            fid, x_mean, _, _ = self.diagnostics(psi)
-            on_record(steps, psi, fid, x_mean)
-        return psi, alive
+            psi = psi_next
+        fid, x_mean, _, _ = self.diagnostics(psi)
+        return psi, fid, x_mean, alive
 
 
 def euler_maruyama_step(model, law, state, dt, dw):
@@ -235,10 +236,9 @@ class TrajectoryRecord:
 
 
 def _step_count(dt, t_final):
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
-    if t_final < 0.0:
-        raise ValidationError(f"t_final must be >= 0, got {t_final}")
+    _require_dt(dt)
+    if not (np.isfinite(t_final) and t_final >= 0.0):
+        raise ValidationError(f"t_final must be finite and >= 0, got {t_final}")
     steps = int(round(t_final / dt))
     if abs(steps * dt - t_final) > 1e-9 * max(abs(t_final), dt):
         raise PreconditionError(f"dt {dt} does not divide t_final {t_final}")
@@ -265,17 +265,13 @@ def simulate_trajectory(model, law, psi0, dt, t_final, seed, increments=None):
         if inc.shape != (steps,):
             raise ValidationError(f"increments shape {inc.shape} does not match {steps} steps")
 
-    stepper = _Stepper(model, law, dt)
-    n = model.n
-    states = np.empty((steps + 1, n), dtype=np.complex128)
+    states = np.empty((steps + 1, model.n), dtype=np.complex128)
     fid = np.empty(steps + 1)
     x_mean = np.empty(steps + 1)
     controls = np.empty((steps, model.m))
 
-    psi = psi0[None, :].copy()
-    for i in range(steps):
+    def observe(i, psi, f, x, u, norms, ok):
         states[i] = psi[0]
-        psi, f, x, u, norms, ok = stepper.step(psi, inc[i : i + 1])
         fid[i] = f[0]
         x_mean[i] = x[0]
         controls[i] = u[0]
@@ -283,8 +279,9 @@ def simulate_trajectory(model, law, psi0, dt, t_final, seed, increments=None):
             raise IntegrationError(
                 f"state norm collapsed to {norms[0]:.3g} at step {i} (t = {i * dt:.6g})"
             )
+
+    psi, f, x, _ = _Stepper(model, law, dt).run(psi0[None, :], inc[None, :], observe)
     states[steps] = psi[0]
-    f, x, _, _ = stepper.diagnostics(psi)
     fid[steps] = f[0]
     x_mean[steps] = x[0]
 

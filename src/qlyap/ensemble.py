@@ -1,15 +1,14 @@
 """Seeded trajectory ensembles and the statistical gates built on them.
 
 Trajectory i of an ensemble uses seed base_seed + i, so any single
-trajectory can be reproduced in isolation. Work is chunked at a fixed
-width and reduced in chunk order, which makes every statistic independent
-of the worker count; QLYAP_THREADS caps the thread pool (default serial).
+trajectory can be reproduced in isolation. Work runs serially in chunks
+of a fixed width (CHUNK) and is reduced in chunk order, so every
+statistic is fixed by the inputs alone, and a trajectory's numbers do not
+depend on which chunk it falls into.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +20,6 @@ from .quantum import equivalence_distance, normalize, orthonormal_completion, re
 
 CHUNK = 256
 HIST_BINS = 20
-
-
-def _worker_count():
-    raw = os.environ.get("QLYAP_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"QLYAP_THREADS must be an integer, got {raw!r}") from exc
-    return max(count, 1)
 
 
 @dataclass(frozen=True)
@@ -62,35 +52,40 @@ class EnsembleSummary:
     excluded_seeds: tuple
 
     @property
-    def seed_range(self):
-        return (self.base_seed, self.base_seed + self.trials)
-
-    @property
     def included(self):
         return self.trials - self.failures
 
 
-def _chunk_stats(model, law, psi0, dt, steps, seeds, r_list, rec_idx):
-    """Propagate one chunk and reduce it. Returns per-chunk partial sums."""
-    b = len(seeds)
-    inc = np.empty((b, steps))
+def _seed_chunks(first_seed, trials):
+    """Seeds first_seed, first_seed + 1, ... split into CHUNK-wide ranges."""
+    return [
+        range(first_seed + lo, first_seed + min(lo + CHUNK, trials))
+        for lo in range(0, trials, CHUNK)
+    ]
+
+
+def _propagate(stepper, psi0, seeds, steps, dt, observe=None):
+    """Run one chunk: a trajectory from psi0 per seed, through `steps` steps.
+
+    Returns stepper.run's (psi, fid, x_mean, alive) for the final states.
+    """
+    inc = np.empty((len(seeds), steps))
     for row, seed in enumerate(seeds):
         inc[row] = WienerPath.generate(seed, steps, dt).increments
-    stepper = _Stepper(model, law, dt)
-    psi = np.tile(psi0, (b, 1))
+    return stepper.run(np.tile(psi0, (len(seeds), 1)), inc, observe)
 
+
+def _chunk_stats(stepper, psi0, dt, steps, seeds, r_thresh, rec_idx):
+    """Propagate one chunk and reduce it. Returns per-chunk partial sums."""
+    b = len(seeds)
     n_rec = len(rec_idx)
     v_hist = np.empty((b, n_rec))
     x_hist = np.empty((b, n_rec))
     f_hist = np.empty((b, n_rec))
-    # exceedance in distance > R is overlap magnitude < 1 - R^2/2
-    r_thresh = np.array([1.0 - 0.5 * r * r for r in r_list])
-    exit_steps = np.full((len(r_list), b), -1, dtype=np.int64)
-    alive = np.ones(b, dtype=bool)
-
+    exit_steps = np.full((len(r_thresh), b), -1, dtype=np.int64)
     rec_pos = 0
 
-    def _observe(index, fid, x_mean):
+    def observe(index, psi, fid, x_mean, *_):
         nonlocal rec_pos
         if rec_pos < n_rec and index == rec_idx[rec_pos]:
             v_hist[:, rec_pos] = 0.5 * (1.0 - fid)
@@ -98,19 +93,12 @@ def _chunk_stats(model, law, psi0, dt, steps, seeds, r_list, rec_idx):
             f_hist[:, rec_pos] = fid
             rec_pos += 1
         mag = np.sqrt(np.maximum(fid, 0.0))
-        for j, rt in enumerate(r_thresh):
-            newly = (mag < rt) & (exit_steps[j] < 0)
-            exit_steps[j, newly] = index
+        newly = (mag < r_thresh[:, None]) & (exit_steps < 0)
+        exit_steps[newly] = index
 
-    for i in range(steps):
-        psi_next, fid, x_mean, _, _, ok = stepper.step(psi, inc[:, i])
-        _observe(i, fid, x_mean)
-        alive &= ok
-        psi = psi_next
-    fid, x_mean, _, _ = stepper.diagnostics(psi)
-    _observe(steps, fid, x_mean)
+    psi, fid, x_mean, valid = _propagate(stepper, psi0, seeds, steps, dt, observe)
+    observe(steps, psi, fid, x_mean)
 
-    valid = alive
     exit_times = np.where(exit_steps[:, valid] >= 0, exit_steps[:, valid] * dt, np.inf)
     return {
         "count": int(valid.sum()),
@@ -122,7 +110,7 @@ def _chunk_stats(model, law, psi0, dt, steps, seeds, r_list, rec_idx):
         "sum_f2": (f_hist[valid] ** 2).sum(axis=0),
         "exit_times": exit_times,
         "final_fid": f_hist[valid, -1],
-        "failed_seeds": [int(s) for s, a in zip(seeds, alive) if not a],
+        "failed_seeds": [int(s) for s, a in zip(seeds, valid) if not a],
     }
 
 
@@ -152,7 +140,7 @@ def run_ensemble(
     record_stride sets the sampling stride of the summary series (None
     picks a stride giving at most `max_recorded` points). Exceedance and
     exit times are tracked at every step regardless of the stride. The
-    result is deterministic for fixed inputs, independent of QLYAP_THREADS.
+    result is deterministic for fixed inputs.
     """
     psi0 = require_state_vector(psi0, "psi0")
     if psi0.size != model.n:
@@ -172,20 +160,13 @@ def run_ensemble(
     rec_idx = np.asarray(rec_idx, dtype=np.int64)
 
     r_list = tuple(float(r) for r in r_list)
-    seed_chunks = [
-        [base_seed + i for i in range(lo, min(lo + CHUNK, trials))]
-        for lo in range(0, trials, CHUNK)
+    # exceedance in distance > R is overlap magnitude < 1 - R^2/2
+    r_thresh = np.array([1.0 - 0.5 * r * r for r in r_list])
+    stepper = _Stepper(model, law, dt)
+    partials = [
+        _chunk_stats(stepper, psi0, dt, steps, seeds, r_thresh, rec_idx)
+        for seeds in _seed_chunks(base_seed, trials)
     ]
-
-    def job(seeds):
-        return _chunk_stats(model, law, psi0, dt, steps, seeds, r_list, rec_idx)
-
-    workers = _worker_count()
-    if workers > 1 and len(seed_chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(job, seed_chunks))
-    else:
-        partials = [job(seeds) for seeds in seed_chunks]
 
     count = sum(p["count"] for p in partials)
     if count == 0:
@@ -391,7 +372,10 @@ def invariance_probe(
     for noiseless exact fixtures). Fidelity drift is reported so escape
     from the target-orthogonal set can be gated on growth.
     """
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     steps = _step_count(dt, t_probe)
+    stepper = _Stepper(model, law, dt)
     results = []
     for idx, cand in enumerate(candidates):
         psi0 = require_state_vector(cand, f"candidates[{idx}]")
@@ -399,29 +383,19 @@ def invariance_probe(
         d0 = equivalence_distance(psi0, model.target)
         f0 = float(abs(np.vdot(model.target, psi0)) ** 2)
 
-        seeds = [base_seed + idx * trials + i for i in range(trials)]
-        dv = np.empty(trials)
-        dd = np.empty(trials)
-        df = np.empty(trials)
-        pos = 0
-        stepper = _Stepper(model, law, dt)
-        for lo in range(0, trials, CHUNK):
-            chunk = seeds[lo : lo + CHUNK]
-            b = len(chunk)
-            inc = np.empty((b, steps))
-            for row, seed in enumerate(chunk):
-                inc[row] = WienerPath.generate(seed, steps, dt).increments
-            psi, alive = stepper.run(np.tile(psi0, (b, 1)), inc)
+        fids = []
+        for seeds in _seed_chunks(base_seed + idx * trials, trials):
+            _, fid, _, alive = _propagate(stepper, psi0, seeds, steps, dt)
             if not alive.all():
                 raise ValidationError(
                     f"candidates[{idx}]: probe trajectories failed to integrate"
                 )
-            fid, _, _, _ = stepper.diagnostics(psi)
-            dist = np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(np.maximum(fid, 0.0)), 0.0))
-            dv[pos : pos + b] = 0.5 * (1.0 - fid) - v0
-            dd[pos : pos + b] = dist - d0
-            df[pos : pos + b] = fid - f0
-            pos += b
+            fids.append(fid)
+        fid = np.concatenate(fids)
+        dist = np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(np.maximum(fid, 0.0)), 0.0))
+        dv = 0.5 * (1.0 - fid) - v0
+        dd = dist - d0
+        df = fid - f0
 
         mean_dv, se_dv = _scalar_stats(dv)
         mean_dd, se_dd = _scalar_stats(dd)

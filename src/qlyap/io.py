@@ -9,6 +9,7 @@ Parsing errors always name the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -54,7 +55,13 @@ class RunParams:
 def _require_number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _require_int(value, where):

@@ -7,12 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quantum import (
-    EquivalenceClass,
-    require_hermitian,
-    require_state_vector,
-    require_traceless_hermitian,
-)
+from .quantum import require_hermitian, require_state_vector, require_traceless_hermitian
 
 
 def _frozen(arr):
@@ -77,10 +72,6 @@ class SystemModel:
     @property
     def m(self):
         return len(self.controls)
-
-    @property
-    def target_class(self):
-        return EquivalenceClass(self.target)
 
     def hamiltonian(self, controls_now):
         """H(u) = free_hamiltonian + sum_k u_k controls[k]."""

@@ -106,6 +106,15 @@ def test_simulate_psi0_override_and_errors(good_def, tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--t-final", "inf")])
+def test_simulate_rejects_non_finite_times(good_def, tmp_path, capsys, flag, value):
+    out = tmp_path / "t.csv"
+    assert main(["simulate", good_def, "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not out.exists()
+
+
 def test_simulate_requires_some_initial_state(tmp_path, capsys):
     no_psi0 = _write(tmp_path, "nopsi.json", qubit_model(), ControlLaw(gains=(1.0,)))
     assert main(["simulate", no_psi0, "--out", str(tmp_path / "x.csv")]) == 1
@@ -178,13 +187,21 @@ def test_usage_and_missing_definition(capsys):
 
 
 def test_console_script_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import qlyap
+
+    # the child imports the same qlyap as this suite, installed or not
+    src = str(Path(qlyap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qlyap.cli", "escape", "qutrit"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "full rank: PASS" in proc.stdout

@@ -10,7 +10,6 @@ from qlyap import (
     closed_loop_generator,
     control_signals,
     directional_gradients,
-    lyapunov_floor,
     lyapunov_generator,
     lyapunov_increment,
     lyapunov_value,
@@ -30,24 +29,11 @@ def test_lyapunov_value_range_and_hand_cases():
     assert lyapunov_value(np.array([0.6, 0.8]), target) == pytest.approx(0.18)
 
 
-def test_lyapunov_floor_values_and_domain():
-    assert lyapunov_floor(0.5) == pytest.approx(0.234375, abs=1e-15)
-    for r in (0.3, 1.0, 1.9):
-        assert lyapunov_floor(r) == pytest.approx(r * r - r ** 4 / 4.0, abs=1e-15)
-    for bad in (0.0, 2.0, -0.1, 2.5):
-        with pytest.raises(PreconditionError):
-            lyapunov_floor(bad)
-    # the legacy floor exceeds max V = 1/2 well inside its domain
-    assert lyapunov_floor(1.0) > 0.5
-
-
 def test_min_lyapunov_at_distance_formula():
     assert min_lyapunov_at_distance(0.5) == pytest.approx(0.1171875, abs=1e-15)
     for r in (0.1, 0.3, 0.5, 1.0, 1.2, np.sqrt(2.0) - 1e-9):
         tight = min_lyapunov_at_distance(r)
         assert tight == pytest.approx(0.5 * (1.0 - (1.0 - r * r / 2.0) ** 2), abs=1e-15)
-        # exactly half the legacy expression on the shared domain
-        assert abs(lyapunov_floor(r) - 2.0 * tight) < 1e-12
     # beyond sqrt(2) no state is that far away; the floor saturates at max V
     assert min_lyapunov_at_distance(1.5) == 0.5
     assert min_lyapunov_at_distance(1.999) == 0.5

@@ -158,6 +158,19 @@ def test_step_count_must_divide():
         simulate_trajectory(model, law, QUBIT_PSI0, 0.0003, 0.001, 1)
 
 
+@pytest.mark.parametrize(
+    "dt, t_final", [(np.nan, 1.0), (np.inf, 1.0), (0.001, np.inf), (0.001, np.nan)]
+)
+def test_non_finite_times_rejected(dt, t_final):
+    model = qubit_model()
+    law = ControlLaw(gains=(1.0,))
+    with pytest.raises(ValidationError):
+        simulate_trajectory(model, law, QUBIT_PSI0, dt, t_final, 1)
+    if not np.isfinite(dt):
+        with pytest.raises(ValidationError, match="dt"):
+            WienerPath.generate(1, 10, dt)
+
+
 def test_norm_collapse_raises():
     # contraction model: f = -k psi exactly, so one step of size dt = 1 - 1e-7
     # with zero noise shrinks the norm below the collapse threshold
@@ -173,7 +186,7 @@ def test_norm_collapse_raises():
     dt = 1.0 - 1e-7
     with pytest.raises(IntegrationError):
         euler_maruyama_step(model, law, psi, dt, 0.0)
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError, match="at step 0"):
         simulate_trajectory(model, law, psi, dt, dt, 3, increments=np.array([0.0]))
 
 

@@ -123,6 +123,10 @@ def _dump_dict(tmp_path):
         (lambda d: d["control_law"].update(gains=[0.7]), r"1 gains but the model has 2"),
         (lambda d: d["run"].update(dt=0.0), r"run.dt.*positive"),
         (lambda d: d["run"].update(t_final=-1.0), r"run.t_final"),
+        # json writes and reads back the NaN / Infinity literals
+        (lambda d: d["run"].update(dt=float("nan")), r"run\.dt.*finite"),
+        (lambda d: d["run"].update(t_final=float("inf")), r"run\.t_final.*finite"),
+        (lambda d: d["run"].update(t_final=10 ** 400), r"run\.t_final.*finite number, got 1000"),
         (lambda d: d["run"].update(trials=0), r"run.trials"),
         (lambda d: d["run"].update(trials=2.5), r"run.trials.*integer"),
         (lambda d: d["run"].update(trials=True), r"run.trials.*integer"),
