@@ -17,6 +17,8 @@ from .quantum import eigenstate_eigenvalue, orthonormal_completion, require_stat
 
 RANK_TOL = 1e-9
 CLUSTER_REL_TOL = 1e-8
+SWEEP_PAD = 1.0
+ORTHOGONAL_TOL = 1e-10
 
 
 def _cluster_tol(eigenvalues):
@@ -100,8 +102,8 @@ class AssumptionReport:
         }
 
 
-def _eigenstate_finding(state, op, tol, require_nondegenerate=False):
-    value = eigenstate_eigenvalue(state, op, tol)
+def _eigenstate_finding(state, op, require_nondegenerate=False):
+    value = eigenstate_eigenvalue(state, op, RANK_TOL)
     if value is None:
         return EigenstateFinding(holds=False, eigenvalue=None, degeneracy=0)
     eigenvalues = np.linalg.eigvalsh(op)
@@ -110,14 +112,14 @@ def _eigenstate_finding(state, op, tol, require_nondegenerate=False):
     return EigenstateFinding(holds=holds, eigenvalue=value, degeneracy=degeneracy)
 
 
-def _real_span_rank(matrices, tol=RANK_TOL):
+def _real_span_rank(matrices):
     rows = np.array(
         [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in matrices]
     )
     singular = np.linalg.svd(rows, compute_uv=False)
     if singular.size == 0 or singular[0] == 0.0:
         return 0
-    return int(np.sum(singular > tol * singular[0]))
+    return int(np.sum(singular > RANK_TOL * singular[0]))
 
 
 def _phase_fix(vec):
@@ -127,7 +129,7 @@ def _phase_fix(vec):
     return vec
 
 
-def common_eigenkets(operators, tol=RANK_TOL):
+def common_eigenkets(operators):
     """Simultaneous eigenvectors of a family of Hermitian operators.
 
     Enumerates one eigenvalue per cluster for each operator, intersects
@@ -155,7 +157,7 @@ def common_eigenkets(operators, tol=RANK_TOL):
     for combo in itertools.product(*spectra):
         stacked = np.vstack([op - lam * eye for op, lam in zip(ops, combo)])
         _, singular, vh = np.linalg.svd(stacked)
-        threshold = tol * max(singular[0], 1.0)
+        threshold = RANK_TOL * max(singular[0], 1.0)
         for row in range(n - 1, -1, -1):
             if row < singular.size and singular[row] > threshold:
                 break
@@ -168,7 +170,7 @@ def common_eigenkets(operators, tol=RANK_TOL):
     return tuple(found)
 
 
-def check_assumptions(model, tol=RANK_TOL):
+def check_assumptions(model):
     """Evaluate the four structural design assumptions on a model.
 
     The target must be an eigenvector of the free Hamiltonian, every
@@ -177,17 +179,17 @@ def check_assumptions(model, tol=RANK_TOL):
     no simultaneous eigenvector.
     """
     target = model.target
-    free_finding = _eigenstate_finding(target, model.free_hamiltonian, tol)
+    free_finding = _eigenstate_finding(target, model.free_hamiltonian)
     movers = tuple(
-        eigenstate_eigenvalue(target, hk, tol) is None for hk in model.controls
+        eigenstate_eigenvalue(target, hk, RANK_TOL) is None for hk in model.controls
     )
     controls_finding = ControlsFinding(holds=bool(movers) and all(movers), movers=movers)
     observable_finding = _eigenstate_finding(
-        target, model.observable, tol, require_nondegenerate=True
+        target, model.observable, require_nondegenerate=True
     )
     generators = (model.free_hamiltonian,) + model.controls
     rank = _real_span_rank(generators)
-    kets = common_eigenkets(generators, tol)
+    kets = common_eigenkets(generators)
     independence = IndependenceFinding(
         holds=rank == model.m + 1 and not kets,
         rank=rank,
@@ -201,7 +203,7 @@ def check_assumptions(model, tol=RANK_TOL):
     )
 
 
-def shifted_controls_independent(model, shifts, tol=RANK_TOL):
+def shifted_controls_independent(model, shifts):
     """True when the controls stay independent after diagonal shifts.
 
     Tests real-linear independence of {H_k - shifts[k] * I}; a family that
@@ -217,7 +219,7 @@ def shifted_controls_independent(model, shifts, tol=RANK_TOL):
         return True
     eye = np.eye(model.n)
     shifted = [hk - lam * eye for hk, lam in zip(model.controls, shifts)]
-    return _real_span_rank(shifted, tol) == model.m
+    return _real_span_rank(shifted) == model.m
 
 
 @dataclass(frozen=True)
@@ -236,7 +238,7 @@ class InvariantSetResult:
     singular_values: tuple
 
 
-def invariant_set_slice(model, shifts, tol=RANK_TOL):
+def invariant_set_slice(model, shifts):
     shifts = np.asarray(shifts, dtype=float)
     if shifts.shape != (model.m,):
         raise ValidationError(
@@ -253,7 +255,7 @@ def invariant_set_slice(model, shifts, tol=RANK_TOL):
             shifts=(), dimension=n, basis=basis, contains_target=True, singular_values=()
         )
     _, singular, vh = np.linalg.svd(rows)
-    threshold = tol * max(singular[0], 1.0)
+    threshold = RANK_TOL * max(singular[0], 1.0)
     rank = int(np.sum(singular > threshold))
     basis_rows = vh[rank:].conj()
     basis = np.column_stack([_phase_fix(row) for row in basis_rows]) if rank < n else np.empty(
@@ -265,7 +267,7 @@ def invariant_set_slice(model, shifts, tol=RANK_TOL):
         shifts=tuple(float(s) for s in shifts),
         dimension=n - rank,
         basis=basis,
-        contains_target=residual <= tol * scale,
+        contains_target=residual <= RANK_TOL * scale,
         singular_values=tuple(float(s) for s in singular),
     )
 
@@ -288,18 +290,25 @@ class InvariantSetSweep:
     target_slice: InvariantSetResult
 
 
-def invariant_set_sweep(model, grid_points=50, pad=1.0, tol=RANK_TOL):
+def invariant_set_sweep(model, grid_points=50):
+    """Scan invariant_set_slice over a grid per control.
+
+    Each control's grid holds grid_points values spanning its spectrum
+    widened by SWEEP_PAD on both sides, plus its eigenvalues.
+    """
+    if grid_points < 2:
+        raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
     if model.m == 0:
         raise PreconditionError("invariant set sweep needs at least one control")
     grids = []
     for hk in model.controls:
         eigenvalues = np.linalg.eigvalsh(hk)
-        grid = np.linspace(eigenvalues[0] - pad, eigenvalues[-1] + pad, grid_points)
+        grid = np.linspace(eigenvalues[0] - SWEEP_PAD, eigenvalues[-1] + SWEEP_PAD, grid_points)
         grids.append(np.unique(np.concatenate([grid, eigenvalues])))
     counts = {}
     best = None
     for combo in itertools.product(*grids):
-        result = invariant_set_slice(model, np.array(combo), tol)
+        result = invariant_set_slice(model, np.array(combo))
         counts[result.dimension] = counts.get(result.dimension, 0) + 1
         if best is None or result.dimension > best.dimension:
             best = result
@@ -311,7 +320,7 @@ def invariant_set_sweep(model, grid_points=50, pad=1.0, tol=RANK_TOL):
         dimension_counts=counts,
         max_dimension=best.dimension,
         max_dimension_slice=best,
-        target_slice=invariant_set_slice(model, canonical, tol),
+        target_slice=invariant_set_slice(model, canonical),
     )
 
 
@@ -331,7 +340,7 @@ class EscapeMatrixResult:
     completion: np.ndarray
 
 
-def escape_matrix(model, tol=RANK_TOL):
+def escape_matrix(model):
     completion = orthonormal_completion(model.target)
     perp = completion[:, 1:]
     bra = model.target.conj()
@@ -340,7 +349,7 @@ def escape_matrix(model, tol=RANK_TOL):
     )
     if matrix.size:
         singular = np.linalg.svd(matrix, compute_uv=False)
-        rank = int(np.sum(singular > tol * max(singular[0], 1.0)))
+        rank = int(np.sum(singular > RANK_TOL * max(singular[0], 1.0)))
     else:
         singular = np.array([])
         rank = 0
@@ -353,12 +362,13 @@ def escape_matrix(model, tol=RANK_TOL):
     )
 
 
-def expected_escape_increment(model, law, state, overlap_tol=1e-10):
+def expected_escape_increment(model, law, state):
     """Mean instantaneous drift of the target overlap from an orthogonal state.
 
     Valid only when the target is an eigenvector of both the free
     Hamiltonian and the observable (those terms then vanish on the
-    orthogonal complement) and the state is orthogonal to the target.
+    orthogonal complement) and the state is orthogonal to the target
+    (|overlap| <= ORTHOGONAL_TOL).
     Returns the complex rate; a nonzero value certifies the state leaves
     the orthogonal set in mean.
     """
@@ -373,7 +383,7 @@ def expected_escape_increment(model, law, state, overlap_tol=1e-10):
             "escape increment needs the target to be an eigenvector of the observable"
         )
     overlap = np.vdot(model.target, state)
-    if abs(overlap) > overlap_tol:
+    if abs(overlap) > ORTHOGONAL_TOL:
         raise PreconditionError(
             f"state must be orthogonal to the target, |overlap| = {abs(overlap):.3e}"
         )

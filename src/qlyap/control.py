@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .quantum import as_complex_vector, eigenstate_eigenvalue, _representative
+from .quantum import as_complex_vector, eigenstate_eigenvalue
 
 EIGENSTATE_TOL = 1e-9
 
@@ -23,7 +23,7 @@ EIGENSTATE_TOL = 1e-9
 def lyapunov_value(state, target):
     """V(state) = (1 - |<target|state>|^2) / 2."""
     psi = as_complex_vector(state)
-    phi = _representative(target)
+    phi = as_complex_vector(target, "target")
     if phi.size != psi.size:
         raise ValidationError("state and target dimensions differ")
     return float(0.5 * (1.0 - abs(np.vdot(phi, psi)) ** 2))
@@ -75,7 +75,7 @@ class DirectionalGradients:
 def directional_gradients(state, target):
     """Directional gradient and Hessian of V at state."""
     psi = as_complex_vector(state)
-    phi = _representative(target)
+    phi = as_complex_vector(target, "target")
     if phi.size != psi.size:
         raise ValidationError("state and target dimensions differ")
     overlap = complex(np.vdot(psi, phi))  # <state|target>
@@ -93,7 +93,7 @@ def lyapunov_increment(state, delta, target):
     """
     psi = as_complex_vector(state)
     d = as_complex_vector(delta, "delta")
-    phi = _representative(target)
+    phi = as_complex_vector(target, "target")
     if not (phi.size == psi.size == d.size):
         raise ValidationError("state, delta, and target dimensions differ")
     overlap = complex(np.vdot(psi, phi))

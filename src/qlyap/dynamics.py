@@ -48,6 +48,8 @@ class WienerPath:
     @classmethod
     def generate(cls, seed, steps, dt):
         _require_dt(dt)
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
         if steps < 0:
             raise ValidationError(f"steps must be >= 0, got {steps}")
         inc = _rng(seed).normal(0.0, np.sqrt(dt), int(steps))
@@ -180,17 +182,11 @@ def euler_maruyama_step(model, law, state, dt, dw):
     """One Euler-Maruyama step with feedback from the pre-step state.
 
     Renormalizes the updated vector; raises IntegrationError when the raw
-    update norm falls below 1e-6 (the linearization has left the sphere's
-    neighborhood and the run is invalid).
+    update norm falls below NORM_COLLAPSE_TOL (the linearization has left
+    the sphere's neighborhood and the run is invalid).
     """
     psi = require_state_vector(state)
-    stepper = _Stepper(model, law, dt)
-    rows, _, _, _, norms, ok = stepper.step(psi[None, :], np.array([float(dw)]))
-    if not ok[0]:
-        raise IntegrationError(
-            f"state norm collapsed to {norms[0]:.3g} in one step; reduce dt or the noise scale"
-        )
-    return rows[0]
+    return euler_maruyama_step_many(model, law, psi[None, :], dt, [dw])[0]
 
 
 def euler_maruyama_step_many(model, law, states, dt, dws):

@@ -20,6 +20,13 @@ from .quantum import equivalence_distance, normalize, orthonormal_completion, re
 
 CHUNK = 256
 HIST_BINS = 20
+# The gates' one stability criterion: a mean rise or drift counts only
+# beyond N_SIGMA standard errors. The absolute slacks keep noiseless
+# exact fixtures (zero standard error) from failing on rounding.
+N_SIGMA = 3.0
+V_ABS_TOL = 1e-12
+PROBE_ABS_TOL_V = 1e-9
+PROBE_ABS_TOL_DISTANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -217,25 +224,24 @@ class SupermartingaleResult:
     pairs: int
 
 
-def supermartingale_test(summary, n_sigma=3.0, abs_tol=1e-12):
+def supermartingale_test(summary):
     """Check mean V never rises between consecutive recorded times.
 
-    Passes iff mean_V[i+1] <= mean_V[i] + n_sigma * stderr_V[i+1] + abs_tol
-    for every consecutive pair. The absolute slack keeps exact-equality
-    ensembles (zero noise, zero standard error) from failing on rounding.
-    worst_violation_sigma reports the largest rise in units of the pair's
-    standard error (inf when the rise exceeds abs_tol at zero stderr).
+    Passes iff mean_V[i+1] <= mean_V[i] + N_SIGMA * stderr_V[i+1] + V_ABS_TOL
+    for every consecutive pair. worst_violation_sigma reports the largest
+    rise in units of the pair's standard error (inf when the rise exceeds
+    V_ABS_TOL at zero stderr).
     """
     mean_v = np.asarray(summary.mean_V, dtype=float)
     se = np.asarray(summary.stderr_V, dtype=float)
     diffs = mean_v[1:] - mean_v[:-1]
     se_next = se[1:]
-    passes = bool(np.all(diffs <= n_sigma * se_next + abs_tol))
+    passes = bool(np.all(diffs <= N_SIGMA * se_next + V_ABS_TOL))
     worst = -np.inf
     for d, s in zip(diffs, se_next):
         if s > 0.0:
             worst = max(worst, d / s)
-        elif d > abs_tol:
+        elif d > V_ABS_TOL:
             worst = np.inf
         else:
             worst = max(worst, 0.0)
@@ -274,22 +280,18 @@ def stability_bound_test(
     dt,
     t_final,
     base_seed,
-    direction=None,
-    n_sigma=3.0,
 ):
     """Exceedance probabilities from perturbed starts against V0 / floor.
 
-    Starts are normalize(target + size * direction); the default direction
-    is 1j times the first deterministic completion vector of the target, so
-    the feedback is active from the first step. Each row passes when the
-    empirical P{sup_t distance > radius} stays below V0/floor plus
-    n_sigma binomial standard errors; the report also checks the
-    probabilities grow monotonically with the perturbation size (within
-    the combined band), so they vanish as the perturbation does.
+    Starts are normalize(target + size * direction), with direction 1j
+    times the first deterministic completion vector of the target, so the
+    feedback is active from the first step. Each row passes when the
+    empirical P{sup_t distance > radius} stays below V0/floor plus N_SIGMA
+    binomial standard errors; the report also checks the probabilities
+    grow monotonically with the perturbation size (within the combined
+    N_SIGMA band), so they vanish as the perturbation does.
     """
-    if direction is None:
-        direction = 1j * orthonormal_completion(model.target)[:, 1]
-    direction = np.asarray(direction, dtype=np.complex128)
+    direction = 1j * orthonormal_completion(model.target)[:, 1]
     floor = min_lyapunov_at_distance(radius)
     rows = []
     for i, size in enumerate(perturbation_sizes):
@@ -318,13 +320,13 @@ def stability_bound_test(
                 bound=bound,
                 empirical_p=p,
                 stderr=stderr,
-                passes=bool(p <= bound + n_sigma * stderr),
+                passes=bool(p <= bound + N_SIGMA * stderr),
             )
         )
     ordered = sorted(rows, key=lambda r: r.perturbation_size)
     monotone = True
     for small, big in zip(ordered, ordered[1:]):
-        band = n_sigma * float(np.hypot(small.stderr, big.stderr))
+        band = N_SIGMA * float(np.hypot(small.stderr, big.stderr))
         if small.empirical_p > big.empirical_p + band:
             monotone = False
     return StabilityBoundReport(radius=float(radius), rows=tuple(rows), monotone_within_band=monotone)
@@ -359,18 +361,15 @@ def invariance_probe(
     t_probe,
     trials,
     base_seed,
-    *,
-    n_sigma=3.0,
-    abs_tol_v=1e-9,
-    abs_tol_distance=1e-6,
 ):
     """Short-ensemble drift test for candidate stationary states.
 
     For each candidate, `trials` trajectories run to t_probe; the candidate
-    is stationary when both the mean V drift and the mean distance drift
-    are within n_sigma standard errors of zero (plus tiny absolute slack
-    for noiseless exact fixtures). Fidelity drift is reported so escape
-    from the target-orthogonal set can be gated on growth.
+    is stationary when the mean V drift is within N_SIGMA standard errors
+    plus PROBE_ABS_TOL_V of zero, and the mean distance drift within
+    N_SIGMA standard errors plus PROBE_ABS_TOL_DISTANCE. Fidelity drift is
+    reported so escape from the target-orthogonal set can be gated on
+    growth.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -401,8 +400,8 @@ def invariance_probe(
         mean_dd, se_dd = _scalar_stats(dd)
         mean_df, se_df = _scalar_stats(df)
         stationary = bool(
-            abs(mean_dv) <= n_sigma * se_dv + abs_tol_v
-            and abs(mean_dd) <= n_sigma * se_dd + abs_tol_distance
+            abs(mean_dv) <= N_SIGMA * se_dv + PROBE_ABS_TOL_V
+            and abs(mean_dd) <= N_SIGMA * se_dd + PROBE_ABS_TOL_DISTANCE
         )
         results.append(
             ProbeResult(

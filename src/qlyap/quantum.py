@@ -8,8 +8,6 @@ invariant. Everything here is a pure function over those arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
@@ -18,6 +16,7 @@ STATE_NORM_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EXPECTATION_IMAG_TOL = 1e-10
+PHASE_EQUIVALENT_TOL = 1e-8
 
 
 def as_complex_vector(vec, name="state"):
@@ -30,9 +29,15 @@ def as_complex_vector(vec, name="state"):
     return arr
 
 
+def _require_finite(arr, name):
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name}: entries must be finite")
+
+
 def require_state_vector(vec, name="state", tol=STATE_NORM_TOL):
-    """Return vec as a complex array, raising unless its norm is 1 within tol."""
+    """Return vec as a complex array, raising unless it is finite with norm 1 within tol."""
     arr = as_complex_vector(vec, name)
+    _require_finite(arr, name)
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > tol:
         raise ValidationError(f"{name}: norm {norm:.12g} is not 1 within {tol:g}")
@@ -40,10 +45,11 @@ def require_state_vector(vec, name="state", tol=STATE_NORM_TOL):
 
 
 def require_hermitian(mat, name="operator", tol=HERMITIAN_TOL):
-    """Return mat as a complex square array, raising unless it is Hermitian within tol."""
+    """Return mat as a complex square array, raising unless finite and Hermitian within tol."""
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name}: expected a square matrix, got shape {arr.shape}")
+    _require_finite(arr, name)
     dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
     if dev > tol:
         raise ValidationError(f"{name}: not Hermitian within {tol:g} (max deviation {dev:.3g})")
@@ -97,36 +103,10 @@ def expectation_value(state, op):
 def fidelity(state, target):
     """|<target|state>|^2."""
     psi = as_complex_vector(state)
-    phi = _representative(target)
+    phi = as_complex_vector(target, "target")
     if phi.size != psi.size:
         raise ValidationError("state and target dimensions differ")
     return float(abs(np.vdot(phi, psi)) ** 2)
-
-
-def _representative(target):
-    rep = getattr(target, "representative", target)
-    return as_complex_vector(rep, "target")
-
-
-@dataclass(frozen=True)
-class EquivalenceClass:
-    """A physical state: the ray {e^{i phi} representative}."""
-
-    representative: np.ndarray
-
-    def __post_init__(self):
-        rep = require_state_vector(self.representative, "representative")
-        rep = rep.copy()
-        rep.setflags(write=False)
-        object.__setattr__(self, "representative", rep)
-
-    @property
-    def dim(self):
-        return self.representative.size
-
-    def contains(self, state, tol=1e-9):
-        """Phase-invariant membership test."""
-        return equivalence_distance(state, self.representative) <= tol
 
 
 def equivalence_distance(state, target):
@@ -137,7 +117,7 @@ def equivalence_distance(state, target):
     argument.
     """
     psi = as_complex_vector(state)
-    phi = _representative(target)
+    phi = as_complex_vector(target, "target")
     if phi.size != psi.size:
         raise ValidationError("state and target dimensions differ")
     overlap = abs(np.vdot(phi, psi))
@@ -159,7 +139,7 @@ def eigenstate_eigenvalue(state, op, tol=1e-9):
     return None
 
 
-def connecting_generator(psi1, psi2, tol=1e-8):
+def connecting_generator(psi1, psi2):
     """A Hermitian generator moving psi2 onto psi1.
 
     Returns (epsilon, h) with epsilon > 0, h Hermitian of unit
@@ -169,13 +149,14 @@ def connecting_generator(psi1, psi2, tol=1e-8):
     multiple of I) and neither input is one of its eigenvectors.
 
     Raises PreconditionError when the states are phase-equivalent (no
-    nontrivial plane to rotate in).
+    nontrivial plane to rotate in): their equivalence_distance is at most
+    PHASE_EQUIVALENT_TOL.
     """
     a_vec = require_state_vector(psi1, "psi1")
     b_vec = require_state_vector(psi2, "psi2")
     if a_vec.size != b_vec.size:
         raise ValidationError("psi1 and psi2 dimensions differ")
-    if equivalence_distance(a_vec, b_vec) <= tol:
+    if equivalence_distance(a_vec, b_vec) <= PHASE_EQUIVALENT_TOL:
         raise PreconditionError("states are phase-equivalent; no connecting rotation exists")
 
     a = complex(np.vdot(b_vec, a_vec))  # <psi2|psi1>

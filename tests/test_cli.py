@@ -115,6 +115,21 @@ def test_simulate_rejects_non_finite_times(good_def, tmp_path, capsys, flag, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "qubit", "--psi0", "nan,0,1,0"],
+        ["simulate", "qubit", "--seed", "-1"],
+        ["invariant-set", "qubit", "--grid-points", "-3"],
+    ],
+)
+def test_bad_inputs_exit_with_error_line(tmp_path, capsys, argv):
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_simulate_requires_some_initial_state(tmp_path, capsys):
     no_psi0 = _write(tmp_path, "nopsi.json", qubit_model(), ControlLaw(gains=(1.0,)))
     assert main(["simulate", no_psi0, "--out", str(tmp_path / "x.csv")]) == 1

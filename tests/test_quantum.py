@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import expm
 
 from qlyap import (
-    EquivalenceClass,
     PreconditionError,
     ValidationError,
     connecting_generator,
@@ -30,6 +29,9 @@ def test_require_state_vector_accepts_unit_rejects_rest():
         require_state_vector(np.array([1.0]))
     with pytest.raises(ValidationError):
         require_state_vector(np.eye(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="psi0: entries must be finite"):
+            require_state_vector(np.array([bad, 0.0]), "psi0")
 
 
 def test_require_hermitian_and_traceless():
@@ -38,6 +40,9 @@ def test_require_hermitian_and_traceless():
         require_hermitian(np.array([[1.0, 2.0j], [2.0j, 3.0]]))
     with pytest.raises(ValidationError):
         require_hermitian(np.ones((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="h0: entries must be finite"):
+            require_hermitian(np.diag([bad, 1.0]), "h0")
     require_traceless_hermitian(np.diag([1.0, -1.0]))
     with pytest.raises(ValidationError):
         require_traceless_hermitian(np.diag([1.0, 1.0]))
@@ -92,19 +97,6 @@ def test_distance_matches_phase_grid_minimum():
         phi = random_state(rng, n)
         grid = np.min(np.linalg.norm(psi[None, :] - phases[:, None] * phi[None, :], axis=1))
         assert abs(equivalence_distance(psi, phi) - grid) < 1e-6
-
-
-def test_equivalence_class_membership():
-    rep = np.array([0.0, 1.0], dtype=complex)
-    cls = EquivalenceClass(rep)
-    assert cls.dim == 2
-    assert cls.contains(1j * rep)
-    assert not cls.contains(np.array([1.0, 0.0], dtype=complex))
-    with pytest.raises(ValidationError):
-        EquivalenceClass(np.array([1.0, 1.0]))
-    # representative is write-protected
-    with pytest.raises(ValueError):
-        cls.representative[0] = 5.0
 
 
 def test_eigenstate_eigenvalue():
