@@ -18,6 +18,8 @@ from .quantum import eigenstate_eigenvalue, orthonormal_completion, require_stat
 RANK_TOL = 1e-9
 CLUSTER_REL_TOL = 1e-8
 SWEEP_PAD = 1.0
+# invariant_set_sweep visits at least grid_points ** m nodes; beyond this many it refuses
+MAX_SWEEP_NODES = 10**6
 ORTHOGONAL_TOL = 1e-10
 
 
@@ -294,12 +296,18 @@ def invariant_set_sweep(model, grid_points=50):
     """Scan invariant_set_slice over a grid per control.
 
     Each control's grid holds grid_points values spanning its spectrum
-    widened by SWEEP_PAD on both sides, plus its eigenvalues.
+    widened by SWEEP_PAD on both sides, plus its eigenvalues. Raises
+    ValidationError when grid_points ** m exceeds MAX_SWEEP_NODES.
     """
     if grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
     if model.m == 0:
         raise PreconditionError("invariant set sweep needs at least one control")
+    if grid_points**model.m > MAX_SWEEP_NODES:
+        raise ValidationError(
+            f"grid_points {grid_points} with {model.m} control(s) means more than "
+            f"MAX_SWEEP_NODES = {MAX_SWEEP_NODES} nodes"
+        )
     grids = []
     for hk in model.controls:
         eigenvalues = np.linalg.eigvalsh(hk)

@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 runtime/validation failure, 2 a statistical or
-structural gate failed, 64 usage error.
+Exit codes: 0 success, 1 runtime/validation/file I/O failure, 2 a
+statistical or structural gate failed, 64 usage error.
 """
 
 from __future__ import annotations
@@ -243,6 +243,10 @@ def main(argv=None):
         return 1
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

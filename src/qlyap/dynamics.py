@@ -10,6 +10,11 @@ Integration is Euler-Maruyama with renormalization after every step; the
 feedback amplitudes are evaluated on the pre-step state and held constant
 across the step (zero-order hold). Noise comes from a counter-based
 generator (Philox) so every trajectory is reproducible from its seed.
+
+The step kernel (_Stepper) batches trajectories as rows and gets every
+operator product a step needs from one matmul against an operator block
+built once per run. drift() and diffusion() spell the same update out
+term by term; they are the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -91,72 +96,111 @@ def diffusion(model, state):
     return np.sqrt(2.0 * model.measurement_strength) * (model.observable @ psi - x_mean * psi)
 
 
+def _row_norms(z):
+    """Euclidean norm of each row of a contiguous complex (B, n) array."""
+    f = z.view(np.float64)  # (B, 2n): real and imaginary parts side by side
+    return np.sqrt(np.einsum("ij,ij->i", f, f))
+
+
 class _Stepper:
     """Batched Euler-Maruyama kernel shared by single and ensemble runs.
 
-    States are rows of a (B, n) array. Row-vector products use transposed
-    operator copies so each step is a handful of small matmuls.
+    States are rows of a contiguous (B, n) array. Each step is one matmul,
+    P = psi @ W, against an operator block W built once per stepper. With
+    A = I - (i dt/hbar) H0 - k dt X^2 and t the target, its column blocks are
+
+        A^T | X^T | c H_1^T ... c H_m^T | conj(H_1 t) ... conj(H_m t) | conj(t)
+
+    where c = -i dt/hbar, so the slices of each row of P hold A psi, X psi,
+    every c H_k psi, every <t|H_k|psi> and <t|psi>. Expanding
+    (X - <X>)^2 psi over those slices, the raw update is
+
+        A psi + (2 k dt <X> + sqrt(2 k) dW) X psi
+              - (k dt <X> + sqrt(2 k) dW) <X> psi + sum_k u_k c H_k psi,
+
+    which is psi + drift dt + diffusion dW with the feedback held at its
+    pre-step value. Past the matmul, every quantity of row i is an
+    elementwise function of row i alone, computed on real views of the
+    complex arrays, so a row's numbers do not depend on the batch around it.
     """
 
     def __init__(self, model, law, dt):
         law.require_matching(model)
         _require_dt(dt)
         self.model = model
-        self.law = law
-        self.dt = float(dt)
-        self.h0_t = model.free_hamiltonian.T.copy()
-        self.x_t = model.observable.T.copy()
-        self.hk_t = np.stack([hk.T for hk in model.controls]) if model.m else None
-        # rows conj(H_k target): <target|H_k|psi> = psi @ row_k
-        self.bra_rows = (
-            np.stack([(hk @ model.target).conj() for hk in model.controls]) if model.m else None
+        n, m, x = model.n, model.m, model.observable
+        c = -1j * float(dt) / model.hbar
+        self.k_dt = model.measurement_strength * float(dt)
+        a = np.eye(n) + c * model.free_hamiltonian - self.k_dt * (x @ x)
+        self.w = np.concatenate(
+            [a.T, x.T]
+            + [c * hk.T for hk in model.controls]
+            + [(hk @ model.target).conj()[:, None] for hk in model.controls]
+            + [model.target.conj()[:, None]],
+            axis=1,
         )
-        self.target_conj = model.target.conj()
+        self.ctrl_cols = [slice((2 + j) * n, (3 + j) * n) for j in range(m)]
+        self.inner_cols = slice((2 + m) * n, (2 + m) * n + m)
         self.gains = np.asarray(law.gains, dtype=float)
         self.phase_tol = law.phase_tol
-        self.k = model.measurement_strength
         self.sqrt2k = np.sqrt(2.0 * model.measurement_strength)
-        self.inv_hbar = 1.0 / model.hbar
 
     def diagnostics(self, psi):
-        """(fidelity, x_mean, u) of each row, with u the feedback amplitudes."""
-        overlap = psi @ self.target_conj  # <target|psi> per row
-        fid = np.abs(overlap) ** 2
-        x_psi = psi @ self.x_t
-        x_mean = np.einsum("bi,bi->b", psi.conj(), x_psi).real
-        if self.model.m:
-            inner = psi @ self.bra_rows.T  # (B, m) of <target|H_k|psi>
-            phase = np.ones_like(overlap)
-            live = np.abs(overlap) >= self.phase_tol
-            phase[live] = np.conj(overlap[live]) / np.abs(overlap[live])
-            u = self.gains * np.imag(phase[:, None] * inner)
+        """(fidelity, x_mean, u, P) of each row, with u the feedback amplitudes and P = psi @ W."""
+        if psi.shape[0] == 1:
+            # numpy hands a one-row product to BLAS gemv, which rounds unlike
+            # the gemm of wider batches; two rows keep B = 1 on gemm too
+            p = (np.concatenate((psi, psi)) @ self.w)[:1]
         else:
-            u = np.zeros((psi.shape[0], 0), dtype=float)
-        return fid, x_mean, u, x_psi
+            p = psi @ self.w
+        n = self.model.n
+        overlap = p[:, -1]  # <target|psi> per row
+        a, b = overlap.real, overlap.imag
+        fid = a * a + b * b
+        x_mean = np.einsum("ij,ij->i", psi.view(np.float64), p[:, n : 2 * n].view(np.float64))
+        if not self.model.m:
+            return fid, x_mean, np.zeros((psi.shape[0], 0)), p
+        # u_k = gains_k Im(phase <t|H_k|psi>), phase = conj(overlap) / |overlap|,
+        # or phase = 1 where |overlap| < phase_tol (phase lock)
+        phase_re, phase_im, mag = a, -b, np.sqrt(fid)
+        locked = mag < self.phase_tol
+        if locked.any():
+            phase_re = np.where(locked, 1.0, phase_re)
+            phase_im = np.where(locked, 0.0, phase_im)
+            mag = np.where(locked, 1.0, mag)
+        inner = p[:, self.inner_cols]
+        im = phase_re[:, None] * inner.imag + phase_im[:, None] * inner.real
+        u = self.gains * (im / mag[:, None])
+        return fid, x_mean, u, p
 
     def step(self, psi, dw):
-        """One EM step for every row. Returns (psi_next, fid, x_mean, u, norms).
+        """One EM step for every row. Returns (psi_next, fid, x_mean, u, norms, ok).
 
         Rows whose raw update norm falls below NORM_COLLAPSE_TOL are left at
-        their pre-step value (normalized) and flagged through `norms`; the
+        their pre-step value (normalized) and flagged through `ok`; the
         caller decides whether to raise or mask.
         """
-        fid, x_mean, u, x_psi = self.diagnostics(psi)
-        h_psi = psi @ self.h0_t
-        if self.model.m:
-            ctrl = np.einsum("bi,kij->bkj", psi, self.hk_t)
-            h_psi = h_psi + np.einsum("bk,bkj->bj", u, ctrl)
-        xc_psi = x_psi - x_mean[:, None] * psi
-        xc2_psi = xc_psi @ self.x_t - x_mean[:, None] * xc_psi
-        f = (-1j * self.inv_hbar) * h_psi - self.k * xc2_psi
-        g = self.sqrt2k * xc_psi
-        raw = psi + f * self.dt + g * dw[:, None]
-        norms = np.linalg.norm(raw, axis=1)
+        fid, x_mean, u, p = self.diagnostics(psi)
+        n = self.model.n
+        noise = self.sqrt2k * dw
+        c_x = 2.0 * self.k_dt * x_mean + noise
+        c_psi = (self.k_dt * x_mean + noise) * x_mean
+        raw = np.empty_like(psi)
+        f = raw.view(np.float64)
+        np.multiply(c_x[:, None], p[:, n : 2 * n].view(np.float64), out=f)
+        f += p[:, :n].view(np.float64)
+        f -= c_psi[:, None] * psi.view(np.float64)
+        for j, cols in enumerate(self.ctrl_cols):
+            f += u[:, j, None] * p[:, cols].view(np.float64)
+        norms = _row_norms(raw)
         ok = norms >= NORM_COLLAPSE_TOL
-        safe = np.where(ok[:, None], raw, psi)
-        safe_norms = np.where(ok, norms, np.linalg.norm(psi, axis=1))
-        psi_next = safe / safe_norms[:, None]
-        return psi_next, fid, x_mean, u, norms, ok
+        scale = norms
+        if not ok.all():
+            raw = np.where(ok[:, None], raw, psi)
+            scale = np.where(ok, norms, _row_norms(psi))
+        f = raw.view(np.float64)
+        f /= scale[:, None]
+        return raw, fid, x_mean, u, norms, ok
 
     def run(self, psi0_rows, increments, observe=None):
         """Propagate rows through increments.shape[1] steps.
@@ -166,7 +210,7 @@ class _Stepper:
         rows, their (fid, x_mean) and a boolean mask of rows that never
         collapsed.
         """
-        psi = np.array(psi0_rows, dtype=np.complex128)
+        psi = np.array(psi0_rows, dtype=np.complex128, order="C")
         alive = np.ones(psi.shape[0], dtype=bool)
         for i in range(increments.shape[1]):
             psi_next, fid, x_mean, u, norms, ok = self.step(psi, increments[:, i])
@@ -191,7 +235,7 @@ def euler_maruyama_step(model, law, state, dt, dw):
 
 def euler_maruyama_step_many(model, law, states, dt, dws):
     """Vectorized euler_maruyama_step over rows of `states` with per-row increments."""
-    psi = np.asarray(states, dtype=np.complex128)
+    psi = np.ascontiguousarray(states, dtype=np.complex128)
     if psi.ndim != 2 or psi.shape[1] != model.n:
         raise ValidationError(f"states must have shape (B, {model.n}), got {psi.shape}")
     dws = np.asarray(dws, dtype=float)

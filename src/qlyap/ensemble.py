@@ -195,7 +195,9 @@ def run_ensemble(
         r: float(np.mean(np.isfinite(exit_times[j]))) for j, r in enumerate(r_list)
     }
     exits = {r: exit_times[j].copy() for j, r in enumerate(r_list)}
-    hist = np.histogram(final_fid, bins=HIST_BINS, range=(0.0, 1.0))
+    # rounding can put a unit state's fidelity a few ulps above 1, and
+    # np.histogram drops values outside its range
+    hist = np.histogram(np.clip(final_fid, 0.0, 1.0), bins=HIST_BINS, range=(0.0, 1.0))
 
     return EnsembleSummary(
         trials=int(trials),

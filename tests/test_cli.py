@@ -121,6 +121,7 @@ def test_simulate_rejects_non_finite_times(good_def, tmp_path, capsys, flag, val
         ["simulate", "qubit", "--psi0", "nan,0,1,0"],
         ["simulate", "qubit", "--seed", "-1"],
         ["invariant-set", "qubit", "--grid-points", "-3"],
+        ["invariant-set", "qubit", "--grid-points", "100000000000"],
     ],
 )
 def test_bad_inputs_exit_with_error_line(tmp_path, capsys, argv):
@@ -128,6 +129,19 @@ def test_bad_inputs_exit_with_error_line(tmp_path, capsys, argv):
         argv = argv + ["--out", str(tmp_path / "t.csv")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "qubit", "--t-final", "0.1", "--out"],
+        ["check", "qubit", "--json"],
+    ],
+)
+def test_unwritable_output_exits_with_error_line(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "out.file")
+    assert main(argv + [path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_simulate_requires_some_initial_state(tmp_path, capsys):

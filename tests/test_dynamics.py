@@ -13,10 +13,18 @@ from qlyap import (
     WienerPath,
     simulate_trajectory,
 )
-from qlyap.dynamics import diffusion, drift, euler_maruyama_step, euler_maruyama_step_many
+from qlyap.dynamics import (
+    NORM_COLLAPSE_TOL,
+    _Stepper,
+    diffusion,
+    drift,
+    euler_maruyama_step,
+    euler_maruyama_step_many,
+)
 from qlyap.control import control_signals
+from qlyap.quantum import normalize, orthonormal_completion
 
-from conftest import QUBIT_PSI0, qubit_model, qutrit_model, random_state
+from conftest import QUBIT_PSI0, qubit_model, qutrit_model, random_hermitian, random_state
 
 
 def test_wiener_path_reproducible_and_distributed():
@@ -171,16 +179,20 @@ def test_non_finite_times_rejected(dt, t_final):
             WienerPath.generate(1, 10, dt)
 
 
-def test_norm_collapse_raises():
-    # contraction model: f = -k psi exactly, so one step of size dt = 1 - 1e-7
-    # with zero noise shrinks the norm below the collapse threshold
-    model = SystemModel(
+def _contraction_model():
+    # at <X> = 0, f = -k psi exactly, so one step of size dt = 1 - 1e-7 with
+    # zero noise shrinks the norm of (1, 1)/sqrt(2) below the collapse threshold
+    return SystemModel(
         free_hamiltonian=np.zeros((2, 2), dtype=complex),
         controls=(),
         observable=np.diag([1.0, -1.0]).astype(complex),
         target=np.array([0.0, 1.0], dtype=complex),
         measurement_strength=1.0,
     )
+
+
+def test_norm_collapse_raises():
+    model = _contraction_model()
     law = ControlLaw(gains=())
     psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
     dt = 1.0 - 1e-7
@@ -188,6 +200,81 @@ def test_norm_collapse_raises():
         euler_maruyama_step(model, law, psi, dt, 0.0)
     with pytest.raises(IntegrationError, match="at step 0"):
         simulate_trajectory(model, law, psi, dt, dt, 3, increments=np.array([0.0]))
+
+
+@pytest.fixture
+def uncontrolled():
+    """A dense n = 3 model with m = 0 and hbar != 1."""
+    rng = np.random.default_rng(307)
+    model = SystemModel(
+        free_hamiltonian=random_hermitian(rng, 3, traceless=True),
+        controls=(),
+        observable=random_hermitian(rng, 3),
+        target=random_state(rng, 3),
+        measurement_strength=0.8,
+        hbar=0.7,
+    )
+    return model, ControlLaw(gains=())
+
+
+@pytest.mark.parametrize("system", ["qubit", "qutrit", "four_level", "uncontrolled"])
+def test_fused_step_matches_drift_diffusion_oracle(request, system):
+    model, law = request.getfixturevalue(system)
+    rng = np.random.default_rng(305)
+    rows = [random_state(rng, model.n) for _ in range(24)]
+    # |<t|psi>| = 1e-14 < phase_tol, so the feedback phase is 1, not -i
+    perp = orthonormal_completion(model.target)[:, 1]
+    locked = normalize(np.exp(0.7j) * perp + 1e-14j * model.target)
+    assert abs(np.vdot(model.target, locked)) < law.phase_tol
+    rows.append(locked)
+    states = np.stack(rows)
+    dt = 1e-3
+    dws = rng.normal(0.0, np.sqrt(dt), len(states))
+    stepped = euler_maruyama_step_many(model, law, states, dt, dws)
+    for psi, dw, got in zip(states, dws, stepped):
+        u = control_signals(model, law, psi)
+        expected = normalize(psi + drift(model, u, psi) * dt + diffusion(model, psi) * dw)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_collapsed_row_is_named_and_kept_at_its_pre_step_value():
+    model = _contraction_model()
+    law = ControlLaw(gains=())
+    rng = np.random.default_rng(308)
+    # row 2 is (1, 1) with norm 2; its raw update has norm 2e-7
+    states = np.stack(
+        [[1.0, 0.0], random_state(rng, 2), [np.sqrt(2.0), np.sqrt(2.0)], random_state(rng, 2)]
+    ).astype(complex)
+    dws = np.zeros(4)
+    dt = 1.0 - 1e-7
+    with pytest.raises(IntegrationError, match=r"\(row 2\)"):
+        euler_maruyama_step_many(model, law, states, dt, dws)
+    rows, _, _, _, norms, ok = _Stepper(model, law, dt).step(states, dws)
+    assert ok.tolist() == [True, True, False, True]
+    assert norms[2] < NORM_COLLAPSE_TOL
+    assert np.max(np.abs(rows[2] - np.array([1.0, 1.0]) / np.sqrt(2.0))) < 1e-15
+    # the other rows come out exactly as they do in a batch without a collapse
+    clean = _Stepper(model, law, dt).step(states[[0, 1, 3]], dws[[0, 1, 3]])[0]
+    assert np.array_equal(rows[[0, 1, 3]], clean)
+
+
+@pytest.mark.parametrize("system", ["qubit", "qutrit", "four_level"])
+def test_rows_do_not_depend_on_batch_width(request, system):
+    model, law = request.getfixturevalue(system)
+    rng = np.random.default_rng(306)
+    psi0 = np.stack([random_state(rng, model.n) for _ in range(600)])
+    # two starts orthogonal to the target put the phase-lock branch in some slices
+    psi0[[5, 400]] = orthonormal_completion(model.target)[:, 1]
+    increments = rng.normal(0.0, np.sqrt(1e-3), (600, 25))
+    stepper = _Stepper(model, law, 1e-3)
+    whole = stepper.run(psi0, increments)
+    for width in (1, 7, 256, 336):
+        parts = [
+            stepper.run(psi0[lo : lo + width], increments[lo : lo + width])
+            for lo in range(0, 600, width)
+        ]
+        for full, sliced in zip(whole, zip(*parts)):
+            assert np.array_equal(full, np.concatenate(sliced)), width
 
 
 def test_em_step_many_matches_single_steps():

@@ -61,6 +61,9 @@ def test_target_start_stays_put():
     assert np.max(summary.mean_V) <= 1e-10
     assert np.max(np.abs(summary.mean_X + 1.0)) <= 1e-10
     assert summary.sup_distance_exceed_prob[0.3] == 0.0
+    # final fidelities round to either side of 1; the top bin holds them all
+    counts, _ = summary.final_fidelity_histogram
+    assert counts[-1] == summary.included
 
 
 def test_supermartingale_gate_passes_on_stabilizing_law():
