@@ -82,6 +82,12 @@ def _cmd_simulate(args):
     dt = params.dt if args.dt is None else args.dt
     t_final = params.t_final if args.t_final is None else args.t_final
     psi0 = _initial_state(args, model, params)
+    # fail on an unwritable --out before integrating, leaving an existing file as it is
+    existed = os.path.exists(args.out)
+    with open(args.out, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(args.out)
     record = simulate_trajectory(model, law, psi0, dt, t_final, seed)
     write_trajectory_csv(args.out, record, model, law)
     print(

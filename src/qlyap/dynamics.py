@@ -13,8 +13,10 @@ generator (Philox) so every trajectory is reproducible from its seed.
 
 The step kernel (_Stepper) batches trajectories as rows and gets every
 operator product a step needs from one matmul against an operator block
-built once per run. drift() and diffusion() spell the same update out
-term by term; they are the reference the kernel is tested against.
+built once per run; its states() generator, the package's one loop over
+time, yields every state of the batch and callers record what they need.
+drift() and diffusion() spell the same update out term by term; they are
+the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def _row_norms(z):
 
 
 class _Stepper:
-    """Batched Euler-Maruyama kernel shared by single and ensemble runs.
+    """Batched Euler-Maruyama kernel; states() iterates step() over a run, yielding each state.
 
     States are rows of a contiguous (B, n) array. Each step is one matmul,
     P = psi @ W, against an operator block W built once per stepper. With
@@ -202,24 +204,21 @@ class _Stepper:
         f /= scale[:, None]
         return raw, fid, x_mean, u, norms, ok
 
-    def run(self, psi0_rows, increments, observe=None):
-        """Propagate rows through increments.shape[1] steps.
+    def states(self, psi0_rows, increments):
+        """Propagate rows through increments.shape[1] steps, yielding each state.
 
-        observe(i, psi, fid, x_mean, u, norms, ok), when given, sees the
-        pre-step rows of step i and that step's outputs. Returns the final
-        rows, their (fid, x_mean) and a boolean mask of rows that never
-        collapsed.
+        Yields (i, psi, fid, x_mean, u, norms, ok) for i = 0 .. steps: the
+        rows at step i with their diagnostics and, for i < steps, that
+        step's raw update norms and non-collapse flags. At i = steps (the
+        final state) norms and ok are None.
         """
         psi = np.array(psi0_rows, dtype=np.complex128, order="C")
-        alive = np.ones(psi.shape[0], dtype=bool)
         for i in range(increments.shape[1]):
             psi_next, fid, x_mean, u, norms, ok = self.step(psi, increments[:, i])
-            if observe is not None:
-                observe(i, psi, fid, x_mean, u, norms, ok)
-            alive &= ok
+            yield i, psi, fid, x_mean, u, norms, ok
             psi = psi_next
-        fid, x_mean, _, _ = self.diagnostics(psi)
-        return psi, fid, x_mean, alive
+        fid, x_mean, u, _ = self.diagnostics(psi)
+        yield increments.shape[1], psi, fid, x_mean, u, None, None
 
 
 def euler_maruyama_step(model, law, state, dt, dw):
@@ -310,24 +309,20 @@ def simulate_trajectory(model, law, psi0, dt, t_final, seed, increments=None):
     x_mean = np.empty(steps + 1)
     controls = np.empty((steps, model.m))
 
-    def observe(i, psi, f, x, u, norms, ok):
+    stepper = _Stepper(model, law, dt)
+    for i, psi, f, x, u, norms, ok in stepper.states(psi0[None, :], inc[None, :]):
         states[i] = psi[0]
         fid[i] = f[0]
         x_mean[i] = x[0]
-        controls[i] = u[0]
-        if not ok[0]:
-            raise IntegrationError(
-                f"state norm collapsed to {norms[0]:.3g} at step {i} (t = {i * dt:.6g})"
-            )
+        if i < steps:
+            controls[i] = u[0]
+            if not ok[0]:
+                raise IntegrationError(
+                    f"state norm collapsed to {norms[0]:.3g} at step {i} (t = {i * dt:.6g})"
+                )
 
-    psi, f, x, _ = _Stepper(model, law, dt).run(psi0[None, :], inc[None, :], observe)
-    states[steps] = psi[0]
-    fid[steps] = f[0]
-    x_mean[steps] = x[0]
-
-    times = np.arange(steps + 1) * float(dt)
-    record = TrajectoryRecord(
-        times=times,
+    return TrajectoryRecord(
+        times=np.arange(steps + 1) * float(dt),
         states=states,
         lyapunov=0.5 * (1.0 - fid),
         fidelity=fid,
@@ -336,4 +331,3 @@ def simulate_trajectory(model, law, psi0, dt, t_final, seed, increments=None):
         wiener_increments=np.array(inc),
         seed=int(seed),
     )
-    return record

@@ -5,11 +5,16 @@ trajectory can be reproduced in isolation. Work runs serially in chunks
 of a fixed width (CHUNK) and is reduced in chunk order, so every
 statistic is fixed by the inputs alone, and a trajectory's numbers do not
 depend on which chunk it falls into.
+
+Every tool makes one chunk pass, _run_chunk, which loops once over
+_Stepper.states and reduces the chunk's surviving rows to sums; the
+ensemble and the probe differ only in the steps and radii it tracks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,54 +76,54 @@ def _seed_chunks(first_seed, trials):
     ]
 
 
-def _propagate(stepper, psi0, seeds, steps, dt, observe=None):
-    """Run one chunk: a trajectory from psi0 per seed, through `steps` steps.
+class _Chunk(NamedTuple):
+    """A chunk reduced over its survivors, the rows that never collapsed.
 
-    Returns stepper.run's (psi, fid, x_mean, alive) for the final states.
+    sums and sums_sq are (3, n_rec) over V, <X> and fidelity; exit_steps
+    has one row per radius, -1 where the radius was never exceeded.
     """
-    inc = np.empty((len(seeds), steps))
+
+    seeds: range
+    alive: np.ndarray
+    sums: np.ndarray
+    sums_sq: np.ndarray
+    final_fid: np.ndarray
+    exit_steps: np.ndarray
+
+
+def _run_chunk(stepper, psi0, seeds, steps, dt, rec_idx, r_thresh):
+    """Run a trajectory from psi0 per seed through `steps` steps into a _Chunk.
+
+    rec_idx lists the recorded steps, ending at `steps`; r_thresh holds one
+    overlap-magnitude threshold per radius, possibly none.
+    """
+    b = len(seeds)
+    inc = np.empty((b, steps))
     for row, seed in enumerate(seeds):
         inc[row] = WienerPath.generate(seed, steps, dt).increments
-    return stepper.run(np.tile(psi0, (len(seeds), 1)), inc, observe)
-
-
-def _chunk_stats(stepper, psi0, dt, steps, seeds, r_thresh, rec_idx):
-    """Propagate one chunk and reduce it. Returns per-chunk partial sums."""
-    b = len(seeds)
-    n_rec = len(rec_idx)
-    v_hist = np.empty((b, n_rec))
-    x_hist = np.empty((b, n_rec))
-    f_hist = np.empty((b, n_rec))
+    hist = np.empty((3, b, len(rec_idx)))
     exit_steps = np.full((len(r_thresh), b), -1, dtype=np.int64)
-    rec_pos = 0
-
-    def observe(index, psi, fid, x_mean, *_):
-        nonlocal rec_pos
-        if rec_pos < n_rec and index == rec_idx[rec_pos]:
-            v_hist[:, rec_pos] = 0.5 * (1.0 - fid)
-            x_hist[:, rec_pos] = x_mean
-            f_hist[:, rec_pos] = fid
-            rec_pos += 1
-        mag = np.sqrt(np.maximum(fid, 0.0))
-        newly = (mag < r_thresh[:, None]) & (exit_steps < 0)
-        exit_steps[newly] = index
-
-    psi, fid, x_mean, valid = _propagate(stepper, psi0, seeds, steps, dt, observe)
-    observe(steps, psi, fid, x_mean)
-
-    exit_times = np.where(exit_steps[:, valid] >= 0, exit_steps[:, valid] * dt, np.inf)
-    return {
-        "count": int(valid.sum()),
-        "sum_v": v_hist[valid].sum(axis=0),
-        "sum_v2": (v_hist[valid] ** 2).sum(axis=0),
-        "sum_x": x_hist[valid].sum(axis=0),
-        "sum_x2": (x_hist[valid] ** 2).sum(axis=0),
-        "sum_f": f_hist[valid].sum(axis=0),
-        "sum_f2": (f_hist[valid] ** 2).sum(axis=0),
-        "exit_times": exit_times,
-        "final_fid": f_hist[valid, -1],
-        "failed_seeds": [int(s) for s, a in zip(seeds, valid) if not a],
-    }
+    alive = np.ones(b, dtype=bool)
+    rec = 0
+    for i, _, fid, x_mean, _, _, ok in stepper.states(np.tile(psi0, (b, 1)), inc):
+        if i == rec_idx[rec]:
+            hist[:, :, rec] = 0.5 * (1.0 - fid), x_mean, fid
+            rec += 1
+        if r_thresh.size:
+            newly = (np.sqrt(fid) < r_thresh[:, None]) & (exit_steps < 0)
+            exit_steps[newly] = i
+        if ok is not None:
+            alive &= ok
+    del inc  # (b, steps) floats; free them before the reduction allocates
+    kept = hist[:, alive]
+    return _Chunk(
+        seeds=seeds,
+        alive=alive,
+        sums=kept.sum(axis=1),
+        sums_sq=(kept ** 2).sum(axis=1),
+        final_fid=hist[2, alive, -1],
+        exit_steps=exit_steps[:, alive],
+    )
 
 
 def _mean_stderr(total, total_sq, count):
@@ -167,34 +172,32 @@ def run_ensemble(
     rec_idx = np.asarray(rec_idx, dtype=np.int64)
 
     r_list = tuple(float(r) for r in r_list)
+    for k, r in enumerate(r_list):
+        if not 0.0 < r < 2.0:
+            raise ValidationError(f"r_list[{k}]: radii must lie in (0, 2), got {r}")
     # exceedance in distance > R is overlap magnitude < 1 - R^2/2
     r_thresh = np.array([1.0 - 0.5 * r * r for r in r_list])
     stepper = _Stepper(model, law, dt)
-    partials = [
-        _chunk_stats(stepper, psi0, dt, steps, seeds, r_thresh, rec_idx)
+    chunks = [
+        _run_chunk(stepper, psi0, seeds, steps, dt, rec_idx, r_thresh)
         for seeds in _seed_chunks(base_seed, trials)
     ]
 
-    count = sum(p["count"] for p in partials)
+    count = sum(int(c.alive.sum()) for c in chunks)
     if count == 0:
         raise ValidationError("every trajectory in the ensemble failed to integrate")
-    sum_v = np.sum([p["sum_v"] for p in partials], axis=0)
-    sum_v2 = np.sum([p["sum_v2"] for p in partials], axis=0)
-    sum_x = np.sum([p["sum_x"] for p in partials], axis=0)
-    sum_x2 = np.sum([p["sum_x2"] for p in partials], axis=0)
-    sum_f = np.sum([p["sum_f"] for p in partials], axis=0)
-    sum_f2 = np.sum([p["sum_f2"] for p in partials], axis=0)
-    exit_times = np.concatenate([p["exit_times"] for p in partials], axis=1)
-    final_fid = np.concatenate([p["final_fid"] for p in partials])
-    failed = [s for p in partials for s in p["failed_seeds"]]
+    (mean_v, mean_x, mean_f), (se_v, se_x, se_f) = _mean_stderr(
+        np.sum([c.sums for c in chunks], axis=0),
+        np.sum([c.sums_sq for c in chunks], axis=0),
+        count,
+    )
+    exit_steps = np.concatenate([c.exit_steps for c in chunks], axis=1)
+    exit_times = np.where(exit_steps >= 0, exit_steps * dt, np.inf)
+    final_fid = np.concatenate([c.final_fid for c in chunks])
+    failed = [s for c in chunks for s, a in zip(c.seeds, c.alive) if not a]
 
-    mean_v, se_v = _mean_stderr(sum_v, sum_v2, count)
-    mean_x, se_x = _mean_stderr(sum_x, sum_x2, count)
-    mean_f, se_f = _mean_stderr(sum_f, sum_f2, count)
-    exceed = {
-        r: float(np.mean(np.isfinite(exit_times[j]))) for j, r in enumerate(r_list)
-    }
     exits = {r: exit_times[j].copy() for j, r in enumerate(r_list)}
+    exceed = {r: float(np.mean(np.isfinite(times))) for r, times in exits.items()}
     # rounding can put a unit state's fidelity a few ulps above 1, and
     # np.histogram drops values outside its range
     hist = np.histogram(np.clip(final_fid, 0.0, 1.0), bins=HIST_BINS, range=(0.0, 1.0))
@@ -386,14 +389,14 @@ def invariance_probe(
 
         fids = []
         for seeds in _seed_chunks(base_seed + idx * trials, trials):
-            _, fid, _, alive = _propagate(stepper, psi0, seeds, steps, dt)
-            if not alive.all():
+            chunk = _run_chunk(stepper, psi0, seeds, steps, dt, [steps], np.empty(0))
+            if not chunk.alive.all():
                 raise ValidationError(
                     f"candidates[{idx}]: probe trajectories failed to integrate"
                 )
-            fids.append(fid)
+            fids.append(chunk.final_fid)
         fid = np.concatenate(fids)
-        dist = np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(np.maximum(fid, 0.0)), 0.0))
+        dist = np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(fid), 0.0))
         dv = 0.5 * (1.0 - fid) - v0
         dd = dist - d0
         df = fid - f0

@@ -202,7 +202,7 @@ def load_definition(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     return _parse_definition(data)
 
@@ -254,10 +254,6 @@ def dump_definition(path, model, law, params):
         handle.write("\n")
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
-
-
 def write_trajectory_csv(path, record, model, law):
     """Write one trajectory as CSV with a fixed column layout.
 
@@ -266,28 +262,24 @@ def write_trajectory_csv(path, record, model, law):
     [t_i, t_i+dt); the final row carries the signal the law would apply
     next, so every row is the feedback evaluated at that row's state.
     """
-    states = record.states
-    steps, m = record.controls_applied.shape
+    states = np.ascontiguousarray(record.states, dtype=np.complex128)
     final_u = control_signals(model, law, states[-1])
     header = ["t", "V", "fidelity", "X_mean"]
-    header += [f"u_{k + 1}" for k in range(m)]
+    header += [f"u_{k + 1}" for k in range(model.m)]
     for j in range(model.n):
         header += [f"psi_re_{j + 1}", f"psi_im_{j + 1}"]
-    lines = [",".join(header)]
-    for i in range(steps + 1):
-        u_row = record.controls_applied[i] if i < steps else final_u
-        cells = [
-            _fmt(record.times[i]),
-            _fmt(record.lyapunov[i]),
-            _fmt(record.fidelity[i]),
-            _fmt(record.observable_mean[i]),
+    table = np.column_stack(
+        [
+            record.times,
+            record.lyapunov,
+            record.fidelity,
+            record.observable_mean,
+            np.vstack([record.controls_applied, final_u]),
+            states.view(np.float64),  # re, im of each component side by side
         ]
-        cells += [_fmt(u) for u in u_row]
-        for value in states[i]:
-            cells += [_fmt(value.real), _fmt(value.imag)]
-        lines.append(",".join(cells))
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        np.savetxt(handle, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def _float_or_none(value):

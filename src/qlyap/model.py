@@ -23,7 +23,7 @@ class SystemModel:
     free_hamiltonian and every control generator must be Hermitian and
     traceless (within 1e-12); the observable must be Hermitian; the target
     must be a unit vector (within 1e-9). measurement_strength k >= 0 and
-    hbar > 0. k = 0 (unobserved limit) is permitted here so degenerate
+    hbar > 0. k = 0 (the no-measurement limit) is permitted here so degenerate
     reference dynamics can be built; file loading enforces k > 0.
     """
 

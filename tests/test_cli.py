@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qlyap import ControlLaw, RunParams, SystemModel, dump_definition
+from qlyap import ControlLaw, IntegrationError, RunParams, SystemModel, dump_definition
 from qlyap.cli import main
 
 from conftest import QUBIT_PSI0, four_level_deficient_model, qubit_model
@@ -138,10 +138,30 @@ def test_bad_inputs_exit_with_error_line(tmp_path, capsys, argv):
         ["check", "qubit", "--json"],
     ],
 )
-def test_unwritable_output_exits_with_error_line(tmp_path, capsys, argv):
+def test_unwritable_output_exits_with_error_line(tmp_path, capsys, monkeypatch, argv):
+    def must_not_integrate(*args, **kwargs):
+        raise AssertionError("simulate integrated before checking --out")
+
+    monkeypatch.setattr("qlyap.cli.simulate_trajectory", must_not_integrate)
     path = str(tmp_path / "missing" / "out.file")
     assert main(argv + [path]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_failed_simulate_leaves_existing_output_untouched(tmp_path, capsys, monkeypatch):
+    def collapse(*args, **kwargs):
+        raise IntegrationError("state norm collapsed")
+
+    monkeypatch.setattr("qlyap.cli.simulate_trajectory", collapse)
+    existing = tmp_path / "kept.csv"
+    existing.write_text("old contents\n")
+    assert main(["simulate", "qubit", "--out", str(existing)]) == 1
+    assert existing.read_text() == "old contents\n"
+    # a path that did not exist is not left behind as an empty file
+    fresh = tmp_path / "fresh.csv"
+    assert main(["simulate", "qubit", "--out", str(fresh)]) == 1
+    assert not fresh.exists()
+    assert "integration failed" in capsys.readouterr().err
 
 
 def test_simulate_requires_some_initial_state(tmp_path, capsys):

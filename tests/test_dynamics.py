@@ -267,14 +267,19 @@ def test_rows_do_not_depend_on_batch_width(request, system):
     psi0[[5, 400]] = orthonormal_completion(model.target)[:, 1]
     increments = rng.normal(0.0, np.sqrt(1e-3), (600, 25))
     stepper = _Stepper(model, law, 1e-3)
-    whole = stepper.run(psi0, increments)
+    whole = list(stepper.states(psi0, increments))
+    assert [item[0] for item in whole] == list(range(26))
+    assert whole[-1][5] is None and whole[-1][6] is None
     for width in (1, 7, 256, 336):
         parts = [
-            stepper.run(psi0[lo : lo + width], increments[lo : lo + width])
+            list(stepper.states(psi0[lo : lo + width], increments[lo : lo + width]))
             for lo in range(0, 600, width)
         ]
-        for full, sliced in zip(whole, zip(*parts)):
-            assert np.array_equal(full, np.concatenate(sliced)), width
+        # every yielded state, final one included: psi, fid, x_mean, u, norms, ok
+        for i, full in enumerate(whole):
+            for k in range(1, 5 if full[5] is None else 7):
+                sliced = np.concatenate([part[i][k] for part in parts])
+                assert np.array_equal(full[k], sliced), (width, i, k)
 
 
 def test_em_step_many_matches_single_steps():

@@ -1,5 +1,7 @@
 """Ensemble reductions and the statistical gates on top of them."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,19 @@ import qlyap.ensemble as ensemble_mod
 from qlyap import (
     ControlLaw,
     ValidationError,
+    bundled_fixture,
     invariance_probe,
     run_ensemble,
     simulate_trajectory,
     stability_bound_test,
     supermartingale_test,
+    write_report_json,
 )
 from qlyap.dynamics import _Stepper
 
 from conftest import QUBIT_PSI0, four_level_deficient_model, qubit_model, qutrit_model
+
+GOLDEN_ENSEMBLE = pathlib.Path(__file__).parent / "golden" / "ensemble_qubit_seed7.json"
 
 
 def test_single_trial_matches_simulate_trajectory_bitwise():
@@ -186,6 +192,25 @@ def test_run_ensemble_input_validation():
         run_ensemble(
             model, law, QUBIT_PSI0, 0.001, 0.1, trials=1, base_seed=0, record_stride=0
         )
+    # radii outside (0, 2) used to give an exceedance probability of 0
+    for bad in ((5.0,), (float("nan"),), (-1.0,), (0.0,), (0.3, 2.0)):
+        with pytest.raises(ValidationError, match=rf"r_list\[{len(bad) - 1}\]"):
+            run_ensemble(model, law, QUBIT_PSI0, 0.001, 0.01, trials=1, base_seed=0, r_list=bad)
+    # no radii is legal: nothing to track
+    summary = run_ensemble(model, law, QUBIT_PSI0, 0.001, 0.01, trials=1, base_seed=0, r_list=())
+    assert summary.sup_distance_exceed_prob == {} and summary.first_exit_times == {}
+
+
+def test_golden_ensemble_bytes(tmp_path):
+    # 600 trials run as three chunks, so the bytes pin the cross-chunk
+    # reduction as well as the kernel; tests/golden/make_golden.py writes it
+    model, law, params = bundled_fixture("qubit")
+    summary = run_ensemble(
+        model, law, params.initial_state, params.dt, 0.5, 600, params.seed, r_list=params.r_list
+    )
+    path = tmp_path / "ensemble.json"
+    write_report_json(path, summary)
+    assert path.read_bytes() == GOLDEN_ENSEMBLE.read_bytes()
 
 
 def test_supermartingale_test_hand_cases():
@@ -301,4 +326,20 @@ def test_invariance_probe_rejects_bad_candidate():
     with pytest.raises(ValidationError, match="trials"):
         invariance_probe(
             model, law, [model.target], dt=0.002, t_probe=0.1, trials=0, base_seed=0
+        )
+
+
+def test_invariance_probe_names_collapsed_candidate(monkeypatch):
+    model = qubit_model()
+    law = ControlLaw(gains=(1.0,))
+    monkeypatch.setattr(_FlakyStepper, "dead_rows", (1,))
+    monkeypatch.setattr(ensemble_mod, "_Stepper", _FlakyStepper)
+    # one trial per candidate never reaches row 1; two trials do
+    (probe,) = invariance_probe(
+        model, law, [model.target], dt=0.002, t_probe=0.1, trials=1, base_seed=0
+    )
+    assert probe.stationary
+    with pytest.raises(ValidationError, match=r"candidates\[0\]: probe trajectories failed"):
+        invariance_probe(
+            model, law, [model.target, model.target], dt=0.002, t_probe=0.1, trials=2, base_seed=0
         )

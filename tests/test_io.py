@@ -1,6 +1,7 @@
 """Definition files, trajectory CSV, and report serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,16 @@ def test_invalid_json_syntax(tmp_path):
     bad = tmp_path / "syntax.json"
     bad.write_text("{nope")
     with pytest.raises(ValidationError, match="invalid JSON"):
+        load_definition(bad)
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff{}", b"[" * 100_000], ids=["not-utf8", "nested-too-deeply"]
+)
+def test_undecodable_definition_names_the_file(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(bad))}: invalid JSON"):
         load_definition(bad)
 
 
