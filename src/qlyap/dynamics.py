@@ -9,12 +9,15 @@ with H(u) = H0 + sum_k u_k H_k and <X> evaluated at the current state.
 Integration is Euler-Maruyama with renormalization after every step; the
 feedback amplitudes are evaluated on the pre-step state and held constant
 across the step (zero-order hold). Noise comes from a counter-based
-generator (Philox) so every trajectory is reproducible from its seed.
+generator (Philox) so every trajectory is reproducible from its seed;
+wiener_blocks() streams the same increments for a batch of seeds in
+fixed time blocks, so no caller holds a whole (rows, steps) array.
 
 The step kernel (_Stepper) batches trajectories as rows and gets every
 operator product a step needs from one matmul against an operator block
 built once per run; its states() generator, the package's one loop over
-time, yields every state of the batch and callers record what they need.
+time, consumes increment blocks, yields every state of the batch and
+callers record what they need.
 drift() and diffusion() spell the same update out term by term; they are
 the reference the kernel is tested against.
 """
@@ -29,6 +32,7 @@ from .errors import IntegrationError, PreconditionError, ValidationError
 from .quantum import as_complex_vector, require_state_vector
 
 NORM_COLLAPSE_TOL = 1e-6
+NOISE_BLOCK = 256
 
 
 def _rng(seed):
@@ -38,6 +42,15 @@ def _rng(seed):
 def _require_dt(dt):
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValidationError(f"dt must be finite and > 0, got {dt}")
+
+
+def _require_noise_args(seeds, steps, dt):
+    _require_dt(dt)
+    for seed in seeds:
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
+    if steps < 0:
+        raise ValidationError(f"steps must be >= 0, got {steps}")
 
 
 @dataclass(frozen=True)
@@ -54,11 +67,7 @@ class WienerPath:
 
     @classmethod
     def generate(cls, seed, steps, dt):
-        _require_dt(dt)
-        if seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {seed}")
-        if steps < 0:
-            raise ValidationError(f"steps must be >= 0, got {steps}")
+        _require_noise_args((seed,), steps, dt)
         inc = _rng(seed).normal(0.0, np.sqrt(dt), int(steps))
         inc.setflags(write=False)
         return cls(seed=int(seed), dt=float(dt), increments=inc)
@@ -75,6 +84,27 @@ class WienerPath:
         summed = self.increments.reshape(-1, factor).sum(axis=1)
         summed.setflags(write=False)
         return WienerPath(seed=self.seed, dt=self.dt * factor, increments=summed)
+
+
+def wiener_blocks(seeds, steps, dt):
+    """The increments of WienerPath.generate(seed, steps, dt) for every seed, in time blocks.
+
+    Returns an iterator of (len(seeds), s) arrays, s = NOISE_BLOCK except
+    for a shorter last block, whose concatenation along axis 1 bit-equals
+    the stacked paths: each row draws from its own Philox stream, and a
+    stream drawn in slices yields the same normals as one draw. The
+    arguments are checked here, before any block is drawn.
+    """
+    _require_noise_args(seeds, steps, dt)
+    return _wiener_blocks([_rng(seed) for seed in seeds], int(steps), np.sqrt(dt))
+
+
+def _wiener_blocks(rngs, steps, scale):
+    for lo in range(0, steps, NOISE_BLOCK):
+        block = np.empty((len(rngs), min(NOISE_BLOCK, steps - lo)))
+        for row, rng in zip(block, rngs):
+            row[:] = rng.normal(0.0, scale, row.size)
+        yield block
 
 
 def drift(model, controls_now, state):
@@ -204,21 +234,26 @@ class _Stepper:
         f /= scale[:, None]
         return raw, fid, x_mean, u, norms, ok
 
-    def states(self, psi0_rows, increments):
-        """Propagate rows through increments.shape[1] steps, yielding each state.
+    def states(self, psi0_rows, blocks):
+        """Propagate rows through the increment blocks in turn, yielding each state.
 
-        Yields (i, psi, fid, x_mean, u, norms, ok) for i = 0 .. steps: the
-        rows at step i with their diagnostics and, for i < steps, that
-        step's raw update norms and non-collapse flags. At i = steps (the
-        final state) norms and ok are None.
+        blocks is an iterable of (B, s) increment arrays, one column per
+        step; `steps` is the total of their widths. Yields
+        (i, psi, fid, x_mean, u, norms, ok) for i = 0 .. steps: the rows at
+        step i with their diagnostics and, for i < steps, that step's raw
+        update norms and non-collapse flags. At i = steps (the final state)
+        norms and ok are None.
         """
         psi = np.array(psi0_rows, dtype=np.complex128, order="C")
-        for i in range(increments.shape[1]):
-            psi_next, fid, x_mean, u, norms, ok = self.step(psi, increments[:, i])
-            yield i, psi, fid, x_mean, u, norms, ok
-            psi = psi_next
+        i = 0
+        for block in blocks:
+            for dw in block.T:
+                psi_next, fid, x_mean, u, norms, ok = self.step(psi, dw)
+                yield i, psi, fid, x_mean, u, norms, ok
+                psi = psi_next
+                i += 1
         fid, x_mean, u, _ = self.diagnostics(psi)
-        yield increments.shape[1], psi, fid, x_mean, u, None, None
+        yield i, psi, fid, x_mean, u, None, None
 
 
 def euler_maruyama_step(model, law, state, dt, dw):
@@ -310,7 +345,7 @@ def simulate_trajectory(model, law, psi0, dt, t_final, seed, increments=None):
     controls = np.empty((steps, model.m))
 
     stepper = _Stepper(model, law, dt)
-    for i, psi, f, x, u, norms, ok in stepper.states(psi0[None, :], inc[None, :]):
+    for i, psi, f, x, u, norms, ok in stepper.states(psi0[None, :], [inc[None, :]]):
         states[i] = psi[0]
         fid[i] = f[0]
         x_mean[i] = x[0]

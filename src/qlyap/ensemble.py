@@ -1,14 +1,16 @@
 """Seeded trajectory ensembles and the statistical gates built on them.
 
 Trajectory i of an ensemble uses seed base_seed + i, so any single
-trajectory can be reproduced in isolation. Work runs serially in chunks
-of a fixed width (CHUNK) and is reduced in chunk order, so every
-statistic is fixed by the inputs alone, and a trajectory's numbers do not
-depend on which chunk it falls into.
+trajectory can be reproduced in isolation. Work runs serially in batches
+of up to BATCH rows, and each batch is reduced in fixed blocks of CHUNK
+rows, in seed order, so every statistic is fixed by the inputs alone: a
+trajectory's numbers do not depend on which batch it falls into, and the
+blocks, hence every sum, do not depend on the batch width.
 
-Every tool makes one chunk pass, _run_chunk, which loops once over
-_Stepper.states and reduces the chunk's surviving rows to sums; the
-ensemble and the probe differ only in the steps and radii it tracks.
+Every tool makes one batch pass, _run_chunk, which loops once over
+_Stepper.states, fed by streamed noise blocks, and reduces each block's
+surviving rows to sums; the ensemble and the probe differ only in the
+steps and radii it tracks.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import lyapunov_value, min_lyapunov_at_distance
-from .dynamics import WienerPath, _Stepper, _step_count
+from .dynamics import NOISE_BLOCK, _Stepper, _step_count, wiener_blocks
 from .errors import ValidationError
 from .quantum import equivalence_distance, normalize, orthonormal_completion, require_state_vector
 
 CHUNK = 256
+BATCH = 4 * CHUNK
 HIST_BINS = 20
 # The gates' one stability criterion: a mean rise or drift counts only
 # beyond N_SIGMA standard errors. The absolute slacks keep noiseless
@@ -69,18 +72,20 @@ class EnsembleSummary:
 
 
 def _seed_chunks(first_seed, trials):
-    """Seeds first_seed, first_seed + 1, ... split into CHUNK-wide ranges."""
+    """Seeds first_seed, first_seed + 1, ... split into BATCH-wide ranges."""
     return [
-        range(first_seed + lo, first_seed + min(lo + CHUNK, trials))
-        for lo in range(0, trials, CHUNK)
+        range(first_seed + lo, first_seed + min(lo + BATCH, trials))
+        for lo in range(0, trials, BATCH)
     ]
 
 
 class _Chunk(NamedTuple):
-    """A chunk reduced over its survivors, the rows that never collapsed.
+    """A batch reduced over its survivors, the rows that never collapsed.
 
-    sums and sums_sq are (3, n_rec) over V, <X> and fidelity; exit_steps
-    has one row per radius, -1 where the radius was never exceeded.
+    sums and sums_sq are (blocks, 3, n_rec): one (3, n_rec) sum over V,
+    <X> and fidelity per CHUNK-row block of the batch, in seed order.
+    exit_steps has one row per radius, -1 where the radius was never
+    exceeded.
     """
 
     seeds: range
@@ -98,32 +103,48 @@ def _run_chunk(stepper, psi0, seeds, steps, dt, rec_idx, r_thresh):
     overlap-magnitude threshold per radius, possibly none.
     """
     b = len(seeds)
-    inc = np.empty((b, steps))
-    for row, seed in enumerate(seeds):
-        inc[row] = WienerPath.generate(seed, steps, dt).increments
+    blocks = wiener_blocks(seeds, steps, dt)
     hist = np.empty((3, b, len(rec_idx)))
     exit_steps = np.full((len(r_thresh), b), -1, dtype=np.int64)
+    # overlap magnitudes of up to NOISE_BLOCK steps; first exits are
+    # resolved once per block of steps instead of at every step
+    mags = np.empty((NOISE_BLOCK, b)) if r_thresh.size else None
     alive = np.ones(b, dtype=bool)
     rec = 0
-    for i, _, fid, x_mean, _, _, ok in stepper.states(np.tile(psi0, (b, 1)), inc):
+    for i, _, fid, x_mean, _, _, ok in stepper.states(np.tile(psi0, (b, 1)), blocks):
         if i == rec_idx[rec]:
             hist[:, :, rec] = 0.5 * (1.0 - fid), x_mean, fid
             rec += 1
-        if r_thresh.size:
-            newly = (np.sqrt(fid) < r_thresh[:, None]) & (exit_steps < 0)
-            exit_steps[newly] = i
+        if mags is not None:
+            j = i % NOISE_BLOCK
+            np.sqrt(fid, out=mags[j])
+            if j == NOISE_BLOCK - 1 or i == steps:
+                _resolve_exits(exit_steps, mags[: j + 1], i - j, r_thresh)
         if ok is not None:
             alive &= ok
-    del inc  # (b, steps) floats; free them before the reduction allocates
-    kept = hist[:, alive]
+    sums, sums_sq = [], []
+    for lo in range(0, b, CHUNK):
+        kept = hist[:, lo : lo + CHUNK][:, alive[lo : lo + CHUNK]]
+        sums.append(kept.sum(axis=1))
+        sums_sq.append((kept ** 2).sum(axis=1))
     return _Chunk(
         seeds=seeds,
         alive=alive,
-        sums=kept.sum(axis=1),
-        sums_sq=(kept ** 2).sum(axis=1),
+        sums=np.stack(sums),
+        sums_sq=np.stack(sums_sq),
         final_fid=hist[2, alive, -1],
         exit_steps=exit_steps[:, alive],
     )
+
+
+def _resolve_exits(exit_steps, mags, first_step, r_thresh):
+    """Record, for rows not yet exited, the first step whose mags fall below each threshold.
+
+    mags holds the overlap magnitudes of steps first_step, first_step + 1, ...
+    """
+    below = mags < r_thresh[:, None, None]  # (radii, steps, rows)
+    newly = below.any(axis=1) & (exit_steps < 0)
+    exit_steps[newly] = first_step + below.argmax(axis=1)[newly]
 
 
 def _mean_stderr(total, total_sq, count):
@@ -187,8 +208,8 @@ def run_ensemble(
     if count == 0:
         raise ValidationError("every trajectory in the ensemble failed to integrate")
     (mean_v, mean_x, mean_f), (se_v, se_x, se_f) = _mean_stderr(
-        np.sum([c.sums for c in chunks], axis=0),
-        np.sum([c.sums_sq for c in chunks], axis=0),
+        np.concatenate([c.sums for c in chunks]).sum(axis=0),
+        np.concatenate([c.sums_sq for c in chunks]).sum(axis=0),
         count,
     )
     exit_steps = np.concatenate([c.exit_steps for c in chunks], axis=1)
@@ -235,7 +256,8 @@ def supermartingale_test(summary):
     Passes iff mean_V[i+1] <= mean_V[i] + N_SIGMA * stderr_V[i+1] + V_ABS_TOL
     for every consecutive pair. worst_violation_sigma reports the largest
     rise in units of the pair's standard error (inf when the rise exceeds
-    V_ABS_TOL at zero stderr).
+    V_ABS_TOL at zero stderr); a rise of at most V_ABS_TOL is rounding and
+    counts as 0 sigma.
     """
     mean_v = np.asarray(summary.mean_V, dtype=float)
     se = np.asarray(summary.stderr_V, dtype=float)
@@ -244,12 +266,10 @@ def supermartingale_test(summary):
     passes = bool(np.all(diffs <= N_SIGMA * se_next + V_ABS_TOL))
     worst = -np.inf
     for d, s in zip(diffs, se_next):
-        if s > 0.0:
-            worst = max(worst, d / s)
-        elif d > V_ABS_TOL:
-            worst = np.inf
+        if d > V_ABS_TOL:
+            worst = max(worst, d / s if s > 0.0 else np.inf)
         else:
-            worst = max(worst, 0.0)
+            worst = max(worst, min(d / s, 0.0) if s > 0.0 else 0.0)
     return SupermartingaleResult(passes=passes, worst_violation_sigma=float(worst), pairs=len(diffs))
 
 

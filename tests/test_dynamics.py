@@ -14,12 +14,14 @@ from qlyap import (
     simulate_trajectory,
 )
 from qlyap.dynamics import (
+    NOISE_BLOCK,
     NORM_COLLAPSE_TOL,
     _Stepper,
     diffusion,
     drift,
     euler_maruyama_step,
     euler_maruyama_step_many,
+    wiener_blocks,
 )
 from qlyap.control import control_signals
 from qlyap.quantum import normalize, orthonormal_completion
@@ -47,6 +49,28 @@ def test_wiener_path_coarsen():
     assert np.allclose(c.increments, p.increments.reshape(3, 4).sum(axis=1))
     with pytest.raises(ValidationError):
         p.coarsen(5)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 255, 256, 257, 1000])
+def test_wiener_blocks_match_generate(steps):
+    seeds = range(900, 920)
+    blocks = list(wiener_blocks(seeds, steps, 0.004))
+    assert [b.shape for b in blocks] == [
+        (20, min(NOISE_BLOCK, steps - lo)) for lo in range(0, steps, NOISE_BLOCK)
+    ]
+    expected = np.stack([WienerPath.generate(seed, steps, 0.004).increments for seed in seeds])
+    streamed = np.concatenate(blocks, axis=1) if blocks else np.empty((20, 0))
+    assert np.array_equal(streamed, expected)
+
+
+def test_wiener_blocks_check_arguments_before_drawing():
+    # the checks run at the call, not at the first block
+    with pytest.raises(ValidationError, match="seed"):
+        wiener_blocks([3, -1], 10, 0.01)
+    with pytest.raises(ValidationError, match="dt"):
+        wiener_blocks([3], 10, float("nan"))
+    with pytest.raises(ValidationError, match="steps"):
+        wiener_blocks([3], -1, 0.01)
 
 
 def test_drift_hand_case():
@@ -267,19 +291,27 @@ def test_rows_do_not_depend_on_batch_width(request, system):
     psi0[[5, 400]] = orthonormal_completion(model.target)[:, 1]
     increments = rng.normal(0.0, np.sqrt(1e-3), (600, 25))
     stepper = _Stepper(model, law, 1e-3)
-    whole = list(stepper.states(psi0, increments))
+    whole = list(stepper.states(psi0, [increments]))
     assert [item[0] for item in whole] == list(range(26))
     assert whole[-1][5] is None and whole[-1][6] is None
+    # time blocks: one, two uneven ones, and one per step
+    cuts = ([0, 25], [0, 3, 25], list(range(26)))
     for width in (1, 7, 256, 336):
-        parts = [
-            list(stepper.states(psi0[lo : lo + width], increments[lo : lo + width]))
-            for lo in range(0, 600, width)
-        ]
-        # every yielded state, final one included: psi, fid, x_mean, u, norms, ok
-        for i, full in enumerate(whole):
-            for k in range(1, 5 if full[5] is None else 7):
-                sliced = np.concatenate([part[i][k] for part in parts])
-                assert np.array_equal(full[k], sliced), (width, i, k)
+        for cut in cuts:
+            parts = []
+            for lo in range(0, 600, width):
+                rows = increments[lo : lo + width]
+                blocks = [rows[:, a:b] for a, b in zip(cut, cut[1:])]
+                parts.append(list(stepper.states(psi0[lo : lo + width], blocks)))
+            # every yielded state, final one included: i, psi, fid, x_mean, u, norms, ok
+            for i, full in enumerate(whole):
+                assert all(part[i][0] == i for part in parts)
+                for k in range(1, 5 if full[5] is None else 7):
+                    sliced = np.concatenate([part[i][k] for part in parts])
+                    assert np.array_equal(full[k], sliced), (width, len(cut) - 1, i, k)
+    # no blocks at all is a run of zero steps: the start state alone
+    ((i, psi, *_, norms, ok),) = stepper.states(psi0[:3], [])
+    assert i == 0 and np.array_equal(psi, psi0[:3]) and norms is None and ok is None
 
 
 def test_em_step_many_matches_single_steps():

@@ -1,6 +1,7 @@
 """Ensemble reductions and the statistical gates on top of them."""
 
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,21 +123,95 @@ def test_noiseless_equality_passes_via_absolute_slack():
 
 
 def test_chunk_independence():
-    # 600 trials run as chunks of 256, 256 and 88; the first chunk's
-    # trajectories must not depend on the chunks that follow it
+    # 1500 trials run as batches of 1024 and 476; neither batch's
+    # trajectories may depend on the other
     model = qubit_model()
     law = ControlLaw(gains=(1.0,))
-    assert ensemble_mod.CHUNK == 256
-    full = run_ensemble(model, law, QUBIT_PSI0, 0.004, 0.4, trials=600, base_seed=29)
+    assert ensemble_mod.BATCH == 1024
+    full = run_ensemble(model, law, QUBIT_PSI0, 0.004, 0.4, trials=1500, base_seed=29)
     first = run_ensemble(model, law, QUBIT_PSI0, 0.004, 0.4, trials=256, base_seed=29)
+    last = run_ensemble(model, law, QUBIT_PSI0, 0.004, 0.4, trials=476, base_seed=29 + 1024)
     for r in full.first_exit_times:
         assert np.array_equal(full.first_exit_times[r][:256], first.first_exit_times[r])
+        assert np.array_equal(full.first_exit_times[r][1024:], last.first_exit_times[r])
     # at R = 1 the exits are spread over the horizon, so the comparison has teeth
     assert np.unique(first.first_exit_times[1.0]).size > 10
 
 
+def test_report_bytes_do_not_depend_on_batch_width(monkeypatch, tmp_path):
+    # the reduction runs in fixed CHUNK-row blocks whatever the batch width,
+    # so every sum, and with it every byte of the report, stays the same
+    model = qubit_model()
+    law = ControlLaw(gains=(1.0,))
+    reports = set()
+    for batch in (256, 512, 1024):
+        monkeypatch.setattr(ensemble_mod, "BATCH", batch)
+        summary = run_ensemble(
+            model, law, QUBIT_PSI0, 0.004, 0.4, trials=600, base_seed=31, record_stride=7
+        )
+        path = tmp_path / f"report-{batch}.json"
+        write_report_json(path, summary)
+        reports.add(path.read_bytes())
+    assert len(reports) == 1
+
+
+@pytest.mark.parametrize("block", [7, ensemble_mod.NOISE_BLOCK])
+def test_exit_steps_match_single_trajectories_across_blocks(monkeypatch, block):
+    # exits are resolved once per block of fidelities; the first exit must be
+    # the first step whose overlap magnitude falls below the threshold,
+    # wherever it lies in its block
+    model = qubit_model()
+    law = ControlLaw(gains=(1.0,))
+    radii = (1.0, 1.2)
+    monkeypatch.setattr(ensemble_mod, "NOISE_BLOCK", block)
+    summary = run_ensemble(
+        model, law, QUBIT_PSI0, 0.001, 0.6, trials=40, base_seed=29, r_list=radii, max_recorded=2
+    )
+    exit_steps = []
+    for row, seed in enumerate(range(29, 69)):
+        fid = simulate_trajectory(model, law, QUBIT_PSI0, 0.001, 0.6, seed=seed).fidelity
+        for r in radii:
+            below = np.flatnonzero(np.sqrt(fid) < 1.0 - 0.5 * r * r)
+            expected = below[0] * 0.001 if below.size else np.inf
+            assert summary.first_exit_times[r][row] == expected, (seed, r)
+            if below.size:
+                exit_steps.append(below[0])
+    # exits in more than one block, at both ends of some block
+    exit_steps = np.array(exit_steps)
+    assert np.unique(exit_steps // block).size > 1
+    if block < 100:
+        assert {0, block - 1} <= set(exit_steps % block)
+
+
+def test_noise_is_streamed_not_held_whole():
+    # a (256, 4000) increments array alone takes 8.2 MB; two (256, 256)
+    # noise blocks, the most the stream holds at once, take 1 MB
+    model = qubit_model()
+    law = ControlLaw(gains=(1.0,))
+    tracemalloc.start()
+    try:
+        run_ensemble(
+            model, law, QUBIT_PSI0, 0.001, 4.0, trials=256, base_seed=5, r_list=(), max_recorded=2
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+
+
+class _SteplessStepper(_Stepper):
+    def step(self, psi, dw):
+        raise AssertionError("stepped")
+
+
+def test_negative_base_seed_raises_before_stepping(monkeypatch):
+    monkeypatch.setattr(ensemble_mod, "_Stepper", _SteplessStepper)
+    with pytest.raises(ValidationError, match="seed"):
+        run_ensemble(qubit_model(), ControlLaw(gains=(1.0,)), QUBIT_PSI0, 0.001, 0.1, 3, -1)
+
+
 class _FlakyStepper(_Stepper):
-    """Marks a fixed row of every chunk dead on the first step."""
+    """Marks fixed rows of every batch dead at every step."""
 
     dead_rows = ()
 
@@ -202,8 +277,9 @@ def test_run_ensemble_input_validation():
 
 
 def test_golden_ensemble_bytes(tmp_path):
-    # 600 trials run as three chunks, so the bytes pin the cross-chunk
-    # reduction as well as the kernel; tests/golden/make_golden.py writes it
+    # 600 trials are reduced in three CHUNK-row blocks, so the bytes pin the
+    # cross-block reduction as well as the kernel; tests/golden/make_golden.py
+    # writes it
     model, law, params = bundled_fixture("qubit")
     summary = run_ensemble(
         model, law, params.initial_state, params.dt, 0.5, 600, params.seed, r_list=params.r_list
@@ -248,6 +324,14 @@ def test_supermartingale_test_hand_cases():
     exact_rise_no_noise = supermartingale_test(fake([0.5, 0.6], [0.0, 0.0]))
     assert not exact_rise_no_noise.passes
     assert exact_rise_no_noise.worst_violation_sigma == np.inf
+
+    # a rise within V_ABS_TOL is rounding: 0 sigma however small its stderr;
+    # the numbers are those of pair 125 of `ensemble qubit --trials 4`
+    rounding_rise = supermartingale_test(fake([0.3, -1.4e-17, 1.1e-16], [0.0, 1e-2, 2.3e-17]))
+    assert rounding_rise.passes
+    assert rounding_rise.worst_violation_sigma == 0.0
+    # a fall keeps its negative sigma
+    assert supermartingale_test(fake([0.3, 0.28], [0.0, 0.01])).worst_violation_sigma == pytest.approx(-2.0)
 
 
 def test_stability_bound_report():
