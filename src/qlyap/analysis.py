@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .quantum import eigenstate_eigenvalue, orthonormal_completion, require_state_vector
+from .quantum import eigenstate_eigenvalue, orthonormal_completion
 
 RANK_TOL = 1e-9
 CLUSTER_REL_TOL = 1e-8
 SWEEP_PAD = 1.0
 # invariant_set_sweep visits at least grid_points ** m nodes; beyond this many it refuses
 MAX_SWEEP_NODES = 10**6
-ORTHOGONAL_TOL = 1e-10
 
 
 def _cluster_tol(eigenvalues):
@@ -41,9 +40,6 @@ class EigenstateFinding:
     eigenvalue: float | None
     degeneracy: int
 
-    def to_dict(self):
-        return {"holds": self.holds, "eigenvalue": self.eigenvalue, "degeneracy": self.degeneracy}
-
 
 @dataclass(frozen=True)
 class ControlsFinding:
@@ -51,9 +47,6 @@ class ControlsFinding:
 
     holds: bool
     movers: tuple
-
-    def to_dict(self):
-        return {"holds": self.holds, "movers": list(self.movers)}
 
 
 @dataclass(frozen=True)
@@ -69,13 +62,6 @@ class IndependenceFinding:
     holds: bool
     rank: int
     common_eigenkets: tuple
-
-    def to_dict(self):
-        return {
-            "holds": self.holds,
-            "rank": self.rank,
-            "common_eigenket_count": len(self.common_eigenkets),
-        }
 
 
 @dataclass(frozen=True)
@@ -94,18 +80,9 @@ class AssumptionReport:
             and self.independent_generators.holds
         )
 
-    def to_dict(self):
-        return {
-            "target_free_eigenstate": self.target_free_eigenstate.to_dict(),
-            "controls_move_target": self.controls_move_target.to_dict(),
-            "target_observable_eigenstate": self.target_observable_eigenstate.to_dict(),
-            "independent_generators": self.independent_generators.to_dict(),
-            "all_hold": self.all_hold,
-        }
-
 
 def _eigenstate_finding(state, op, require_nondegenerate=False):
-    value = eigenstate_eigenvalue(state, op, RANK_TOL)
+    value = eigenstate_eigenvalue(state, op)
     if value is None:
         return EigenstateFinding(holds=False, eigenvalue=None, degeneracy=0)
     eigenvalues = np.linalg.eigvalsh(op)
@@ -183,7 +160,7 @@ def check_assumptions(model):
     target = model.target
     free_finding = _eigenstate_finding(target, model.free_hamiltonian)
     movers = tuple(
-        eigenstate_eigenvalue(target, hk, RANK_TOL) is None for hk in model.controls
+        eigenstate_eigenvalue(target, hk) is None for hk in model.controls
     )
     controls_finding = ControlsFinding(holds=bool(movers) and all(movers), movers=movers)
     observable_finding = _eigenstate_finding(
@@ -368,35 +345,3 @@ def escape_matrix(model):
         singular_values=tuple(float(s) for s in singular),
         completion=completion,
     )
-
-
-def expected_escape_increment(model, law, state):
-    """Mean instantaneous drift of the target overlap from an orthogonal state.
-
-    Valid only when the target is an eigenvector of both the free
-    Hamiltonian and the observable (those terms then vanish on the
-    orthogonal complement) and the state is orthogonal to the target
-    (|overlap| <= ORTHOGONAL_TOL).
-    Returns the complex rate; a nonzero value certifies the state leaves
-    the orthogonal set in mean.
-    """
-    state = require_state_vector(state, "state")
-    law.require_matching(model)
-    if eigenstate_eigenvalue(model.target, model.free_hamiltonian) is None:
-        raise PreconditionError(
-            "escape increment needs the target to be an eigenvector of the free Hamiltonian"
-        )
-    if eigenstate_eigenvalue(model.target, model.observable) is None:
-        raise PreconditionError(
-            "escape increment needs the target to be an eigenvector of the observable"
-        )
-    overlap = np.vdot(model.target, state)
-    if abs(overlap) > ORTHOGONAL_TOL:
-        raise PreconditionError(
-            f"state must be orthogonal to the target, |overlap| = {abs(overlap):.3e}"
-        )
-    rate = 0.0 + 0.0j
-    for gain, hk in zip(law.gains, model.controls):
-        coupling = np.vdot(model.target, hk @ state)
-        rate += gain * coupling.imag * coupling
-    return -1j / model.hbar * rate

@@ -1,4 +1,4 @@
-"""Distance-to-target Lyapunov function, its directional calculus, and the
+"""Distance-to-target Lyapunov function, its exact increment, and the
 phase-locked feedback law.
 
 V(psi) = (1 - |<target|psi>|^2) / 2 ranges over [0, 1/2] and vanishes
@@ -9,15 +9,12 @@ V along the measured dynamics a negative sum of squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .quantum import as_complex_vector, eigenstate_eigenvalue
-
-EIGENSTATE_TOL = 1e-9
 
 
 def lyapunov_value(state, target):
@@ -44,44 +41,6 @@ def min_lyapunov_at_distance(radius):
     if r * r >= 2.0:
         return 0.5
     return float(0.5 * (1.0 - (1.0 - 0.5 * r * r) ** 2))
-
-
-@dataclass(frozen=True)
-class DirectionalGradients:
-    """First and second directional derivatives of V at a state.
-
-    grad is the complex row vector w, applied as the real-linear map
-    delta -> -Re(w @ delta); hessian is the constant rank-one matrix
-    -|target><target|.
-    """
-
-    grad: np.ndarray
-    hessian: np.ndarray
-
-    def gradient_term(self, delta):
-        d = as_complex_vector(delta, "delta")
-        return float(-np.real(self.grad @ d))
-
-    def hessian_term(self, delta):
-        """<delta|hessian|delta>, always real for the rank-one Hessian."""
-        d = as_complex_vector(delta, "delta")
-        return float(np.real(np.vdot(d, self.hessian @ d)))
-
-    def predict_increment(self, delta):
-        """gradient_term + hessian_term / 2; exact for V, see lyapunov_increment."""
-        return self.gradient_term(delta) + 0.5 * self.hessian_term(delta)
-
-
-def directional_gradients(state, target):
-    """Directional gradient and Hessian of V at state."""
-    psi = as_complex_vector(state)
-    phi = as_complex_vector(target, "target")
-    if phi.size != psi.size:
-        raise ValidationError("state and target dimensions differ")
-    overlap = complex(np.vdot(psi, phi))  # <state|target>
-    grad = overlap * phi.conj()
-    hessian = -np.outer(phi, phi.conj())
-    return DirectionalGradients(grad=grad, hessian=hessian)
 
 
 def lyapunov_increment(state, delta, target):
@@ -166,11 +125,11 @@ def lyapunov_generator(model, controls_now, state):
 
 
 def _require_target_eigenstructure(model):
-    if eigenstate_eigenvalue(model.target, model.free_hamiltonian, EIGENSTATE_TOL) is None:
+    if eigenstate_eigenvalue(model.target, model.free_hamiltonian) is None:
         raise PreconditionError(
             "target is not an eigenstate of the free Hamiltonian; the reduced generator does not apply"
         )
-    if eigenstate_eigenvalue(model.target, model.observable, EIGENSTATE_TOL) is None:
+    if eigenstate_eigenvalue(model.target, model.observable) is None:
         raise PreconditionError(
             "target is not an eigenstate of the observable; the reduced generator does not apply"
         )

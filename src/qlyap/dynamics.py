@@ -33,6 +33,8 @@ from .quantum import as_complex_vector, require_state_vector
 
 NORM_COLLAPSE_TOL = 1e-6
 NOISE_BLOCK = 256
+# _step_count refuses runs longer than this many steps (1000x the bundled default)
+MAX_STEPS = 10**7
 
 
 def _rng(seed):
@@ -313,7 +315,10 @@ def _step_count(dt, t_final):
     _require_dt(dt)
     if not (np.isfinite(t_final) and t_final >= 0.0):
         raise ValidationError(f"t_final must be finite and >= 0, got {t_final}")
-    steps = int(round(t_final / dt))
+    ratio = float(t_final) / float(dt)
+    if ratio > MAX_STEPS:
+        raise ValidationError(f"t_final {t_final} / dt {dt} exceeds MAX_STEPS = {MAX_STEPS} steps")
+    steps = int(round(ratio))
     if abs(steps * dt - t_final) > 1e-9 * max(abs(t_final), dt):
         raise PreconditionError(f"dt {dt} does not divide t_final {t_final}")
     return steps

@@ -17,7 +17,10 @@ import numpy as np
 
 from .analysis import (
     AssumptionReport,
+    ControlsFinding,
+    EigenstateFinding,
     EscapeMatrixResult,
+    IndependenceFinding,
     InvariantSetResult,
     InvariantSetSweep,
 )
@@ -316,8 +319,24 @@ def to_jsonable(obj):
                 "bin_edges": [float(e) for e in edges],
             },
         }
-    if isinstance(obj, (AssumptionReport,)):
-        return obj.to_dict()
+    if isinstance(obj, AssumptionReport):
+        return {
+            "target_free_eigenstate": to_jsonable(obj.target_free_eigenstate),
+            "controls_move_target": to_jsonable(obj.controls_move_target),
+            "target_observable_eigenstate": to_jsonable(obj.target_observable_eigenstate),
+            "independent_generators": to_jsonable(obj.independent_generators),
+            "all_hold": obj.all_hold,
+        }
+    if isinstance(obj, EigenstateFinding):
+        return {"holds": obj.holds, "eigenvalue": obj.eigenvalue, "degeneracy": obj.degeneracy}
+    if isinstance(obj, ControlsFinding):
+        return {"holds": obj.holds, "movers": list(obj.movers)}
+    if isinstance(obj, IndependenceFinding):
+        return {
+            "holds": obj.holds,
+            "rank": obj.rank,
+            "common_eigenket_count": len(obj.common_eigenkets),
+        }
     if isinstance(obj, InvariantSetResult):
         return {
             "shifts": list(obj.shifts),

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 
 STATE_NORM_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EXPECTATION_IMAG_TOL = 1e-10
-PHASE_EQUIVALENT_TOL = 1e-8
+EIGENSTATE_TOL = 1e-9
 
 
 def as_complex_vector(vec, name="state"):
@@ -34,34 +34,34 @@ def _require_finite(arr, name):
         raise ValidationError(f"{name}: entries must be finite")
 
 
-def require_state_vector(vec, name="state", tol=STATE_NORM_TOL):
-    """Return vec as a complex array, raising unless it is finite with norm 1 within tol."""
+def require_state_vector(vec, name="state"):
+    """Return vec as a complex array, raising unless finite with norm 1 within STATE_NORM_TOL."""
     arr = as_complex_vector(vec, name)
     _require_finite(arr, name)
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > tol:
-        raise ValidationError(f"{name}: norm {norm:.12g} is not 1 within {tol:g}")
+    if abs(norm - 1.0) > STATE_NORM_TOL:
+        raise ValidationError(f"{name}: norm {norm:.12g} is not 1 within {STATE_NORM_TOL:g}")
     return arr
 
 
-def require_hermitian(mat, name="operator", tol=HERMITIAN_TOL):
-    """Return mat as a complex square array, raising unless finite and Hermitian within tol."""
+def require_hermitian(mat, name="operator"):
+    """Return mat as a complex square array, raising unless finite and Hermitian (HERMITIAN_TOL)."""
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name}: expected a square matrix, got shape {arr.shape}")
     _require_finite(arr, name)
     dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if dev > tol:
-        raise ValidationError(f"{name}: not Hermitian within {tol:g} (max deviation {dev:.3g})")
+    if dev > HERMITIAN_TOL:
+        raise ValidationError(f"{name}: not Hermitian within {HERMITIAN_TOL:g} (max deviation {dev:.3g})")
     return arr
 
 
-def require_traceless_hermitian(mat, name="operator", tol=HERMITIAN_TOL, trace_tol=TRACE_TOL):
-    """Hermitian check plus |trace| <= trace_tol (membership in i*su(n) directions)."""
-    arr = require_hermitian(mat, name, tol)
+def require_traceless_hermitian(mat, name="operator"):
+    """Hermitian check plus |trace| <= TRACE_TOL (membership in i*su(n) directions)."""
+    arr = require_hermitian(mat, name)
     tr = complex(np.trace(arr))
-    if abs(tr) > trace_tol:
-        raise ValidationError(f"{name}: trace {tr:.3g} is not 0 within {trace_tol:g}")
+    if abs(tr) > TRACE_TOL:
+        raise ValidationError(f"{name}: trace {tr:.3g} is not 0 within {TRACE_TOL:g}")
     return arr
 
 
@@ -72,11 +72,6 @@ def normalize(vec):
     if norm < 1e-12:
         raise ValidationError(f"cannot normalize a vector of norm {norm:.3g}")
     return arr / norm
-
-
-def hs_norm(mat):
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(mat)))
 
 
 def expectation_value(state, op):
@@ -124,77 +119,19 @@ def equivalence_distance(state, target):
     return float(np.sqrt(max(2.0 - 2.0 * overlap, 0.0)))
 
 
-def eigenstate_eigenvalue(state, op, tol=1e-9):
+def eigenstate_eigenvalue(state, op):
     """The eigenvalue of op at state, or None when state is not an eigenvector.
 
-    Uses the residual test ||op state - <op> state|| < tol, which is
+    Uses the residual test ||op state - <op> state|| < EIGENSTATE_TOL, which is
     invariant under spectral shifts op -> op + c*I up to the shift in the
     returned eigenvalue.
     """
     psi = as_complex_vector(state)
     lam = expectation_value(psi, op)
     residual = float(np.linalg.norm(np.asarray(op, dtype=np.complex128) @ psi - lam * psi))
-    if residual < tol:
+    if residual < EIGENSTATE_TOL:
         return float(lam)
     return None
-
-
-def connecting_generator(psi1, psi2):
-    """A Hermitian generator moving psi2 onto psi1.
-
-    Returns (epsilon, h) with epsilon > 0, h Hermitian of unit
-    Hilbert-Schmidt norm, and expm(1j * epsilon * h) @ psi2 == psi1. The
-    unitary rotates the plane spanned by the two states and acts as the
-    identity on its orthogonal complement, so h is traceless (never a
-    multiple of I) and neither input is one of its eigenvectors.
-
-    Raises PreconditionError when the states are phase-equivalent (no
-    nontrivial plane to rotate in): their equivalence_distance is at most
-    PHASE_EQUIVALENT_TOL.
-    """
-    a_vec = require_state_vector(psi1, "psi1")
-    b_vec = require_state_vector(psi2, "psi2")
-    if a_vec.size != b_vec.size:
-        raise ValidationError("psi1 and psi2 dimensions differ")
-    if equivalence_distance(a_vec, b_vec) <= PHASE_EQUIVALENT_TOL:
-        raise PreconditionError("states are phase-equivalent; no connecting rotation exists")
-
-    a = complex(np.vdot(b_vec, a_vec))  # <psi2|psi1>
-    w = a_vec - a * b_vec
-    b = float(np.linalg.norm(w))
-    e2 = w / b
-
-    # 2x2 special-unitary block sending (1,0) -> (a, b) in the {psi2, e2} frame.
-    u = np.array([[a, -b], [b, np.conj(a)]], dtype=np.complex128)
-    theta = float(np.arccos(np.clip(a.real, -1.0, 1.0)))
-    sin_theta = np.sin(theta)
-    # u = cos(theta) I + i sin(theta) M with M Hermitian, M^2 = I, so the
-    # principal logarithm of the block is theta * M.
-    m = (u - np.cos(theta) * np.eye(2)) / (1j * sin_theta)
-    block = theta * m
-
-    frame = np.stack([b_vec, e2], axis=1)
-    gen = frame @ block @ frame.conj().T
-    gen = 0.5 * (gen + gen.conj().T)
-    epsilon = hs_norm(gen)
-    return epsilon, gen / epsilon
-
-
-def eigh_fixed(op):
-    """Deterministic Hermitian eigendecomposition.
-
-    Eigenvalues ascending; each eigenvector is rescaled so its first
-    component of magnitude above 1e-8 is real and positive. For a fixed
-    input array the output is reproducible bit for bit.
-    """
-    mat = require_hermitian(op, tol=1e-10)
-    vals, vecs = np.linalg.eigh(mat)
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        idx = np.argmax(np.abs(col) > 1e-8)
-        pivot = col[idx]
-        vecs[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return vals, vecs
 
 
 def orthonormal_completion(first):

@@ -122,6 +122,8 @@ def test_simulate_rejects_non_finite_times(good_def, tmp_path, capsys, flag, val
         ["simulate", "qubit", "--seed", "-1"],
         ["invariant-set", "qubit", "--grid-points", "-3"],
         ["invariant-set", "qubit", "--grid-points", "100000000000"],
+        ["simulate", "qubit", "--dt", "1e-300"],
+        ["simulate", "qubit", "--t-final", "1e300"],
     ],
 )
 def test_bad_inputs_exit_with_error_line(tmp_path, capsys, argv):

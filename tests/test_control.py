@@ -9,7 +9,6 @@ from qlyap import (
     SystemModel,
     closed_loop_generator,
     control_signals,
-    directional_gradients,
     lyapunov_generator,
     lyapunov_increment,
     lyapunov_value,
@@ -79,24 +78,6 @@ def test_lyapunov_increment_is_exact():
         delta = (rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.uniform(0.0, 2.0)
         direct = lyapunov_value(psi + delta, target) - lyapunov_value(psi, target)
         assert abs(lyapunov_increment(psi, delta, target) - direct) < 1e-12
-
-
-def test_directional_gradients_match_increment():
-    rng = np.random.default_rng(203)
-    for _ in range(200):
-        n = int(rng.integers(2, 5))
-        psi = random_state(rng, n)
-        target = random_state(rng, n)
-        delta = rng.normal(size=n) + 1j * rng.normal(size=n)
-        grads = directional_gradients(psi, target)
-        assert abs(
-            grads.predict_increment(delta) - lyapunov_increment(psi, delta, target)
-        ) < 1e-12
-    # the Hessian is the constant rank-one projector with a minus sign
-    grads = directional_gradients(psi, target)
-    vals = np.linalg.eigvalsh(grads.hessian)
-    assert vals[0] == pytest.approx(-1.0, abs=1e-12)
-    assert np.max(np.abs(vals[1:])) < 1e-12
 
 
 def test_control_signals_hand_cases():

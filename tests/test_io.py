@@ -2,12 +2,16 @@
 
 import json
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlyap import (
     ControlLaw,
+    PreconditionError,
     RunParams,
     ValidationError,
     bundled_fixture,
@@ -23,6 +27,8 @@ from qlyap import (
     write_report_json,
     write_trajectory_csv,
 )
+
+from qlyap.io import _parse_definition
 
 from conftest import QUBIT_PSI0, QUTRIT_PSI0, qubit_model, qutrit_model
 
@@ -164,6 +170,47 @@ def test_undecodable_definition_names_the_file(tmp_path, content):
     bad.write_bytes(content)
     with pytest.raises(ValidationError, match=f"^{re.escape(str(bad))}: invalid JSON"):
         load_definition(bad)
+
+
+QUTRIT_TEXT = resources.files("qlyap").joinpath("fixtures", "qutrit.json").read_text()
+
+
+def _subtree_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _subtree_paths(child, path + (key,))
+
+
+QUTRIT_PATHS = list(_subtree_paths(json.loads(QUTRIT_TEXT)))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.sampled_from(QUTRIT_PATHS), JSON_VALUES)
+def test_any_replaced_subtree_parses_or_fails_cleanly(path, value):
+    data = json.loads(QUTRIT_TEXT)
+    if path:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        data = value
+    try:
+        _parse_definition(data)
+    except (ValidationError, PreconditionError):
+        pass
 
 
 def test_missing_file(tmp_path):

@@ -1,22 +1,18 @@
-"""State/operator primitives: validation, distances, decompositions."""
+"""State/operator primitives: validation, distances, eigenstates, completions."""
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from qlyap import (
-    PreconditionError,
     ValidationError,
-    connecting_generator,
     eigenstate_eigenvalue,
-    eigh_fixed,
     equivalence_distance,
     expectation_value,
     fidelity,
     normalize,
     orthonormal_completion,
 )
-from qlyap.quantum import hs_norm, require_hermitian, require_state_vector, require_traceless_hermitian
+from qlyap.quantum import require_hermitian, require_state_vector, require_traceless_hermitian
 
 from conftest import random_hermitian, random_state
 
@@ -112,58 +108,6 @@ def test_eigenstate_eigenvalue():
     lam_shifted = eigenstate_eigenvalue(v, h + 3.5 * np.eye(3))
     assert lam == pytest.approx(vals[0], abs=1e-10)
     assert lam_shifted == pytest.approx(vals[0] + 3.5, abs=1e-10)
-
-
-def test_connecting_generator_properties():
-    rng = np.random.default_rng(105)
-    for n in (2, 3, 4):
-        for _ in range(25):
-            psi1 = random_state(rng, n)
-            psi2 = random_state(rng, n)
-            if equivalence_distance(psi1, psi2) < 0.05:
-                continue
-            eps, h = connecting_generator(psi1, psi2)
-            assert eps > 0.0
-            assert np.max(np.abs(h - h.conj().T)) < 1e-12
-            assert abs(hs_norm(h) - 1.0) < 1e-12
-            assert abs(np.trace(h)) < 1e-10
-            moved = expm(1j * eps * h) @ psi2
-            assert np.linalg.norm(moved - psi1) < 1e-8
-            # the generator rotates both endpoints, it fixes neither ray
-            assert eigenstate_eigenvalue(psi1, h, tol=1e-6) is None
-            assert eigenstate_eigenvalue(psi2, h, tol=1e-6) is None
-
-
-def test_connecting_generator_rejects_phase_equivalent():
-    psi = np.array([0.6, 0.8], dtype=complex)
-    with pytest.raises(PreconditionError):
-        connecting_generator(psi, 1j * psi)
-
-
-def test_connecting_generator_epsilon_scales_with_angle():
-    # colinear-overlap case: rotating |0> onto cos(t)|0> + sin(t)|1>
-    for t in (0.3, 0.7, 1.2):
-        psi2 = np.array([1.0, 0.0], dtype=complex)
-        psi1 = np.array([np.cos(t), np.sin(t)], dtype=complex)
-        eps, _ = connecting_generator(psi1, psi2)
-        assert eps == pytest.approx(np.sqrt(2.0) * t, rel=1e-10)
-
-
-def test_eigh_fixed_deterministic_and_convention():
-    rng = np.random.default_rng(106)
-    h = random_hermitian(rng, 4)
-    vals1, vecs1 = eigh_fixed(h)
-    vals2, vecs2 = eigh_fixed(h.copy())
-    assert np.array_equal(vals1, vals2)
-    assert np.array_equal(vecs1, vecs2)
-    assert np.all(np.diff(vals1) >= 0)
-    recon = vecs1 @ np.diag(vals1) @ vecs1.conj().T
-    assert np.max(np.abs(recon - h)) < 1e-12
-    for j in range(4):
-        col = vecs1[:, j]
-        idx = np.argmax(np.abs(col) > 1e-8)
-        assert col[idx].real > 0.0
-        assert abs(col[idx].imag) < 1e-12
 
 
 def test_orthonormal_completion_unitary_and_deterministic():
