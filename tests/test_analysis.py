@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qlyap import (
+    ControlLaw,
     SystemModel,
     check_assumptions,
     common_eigenkets,
@@ -13,6 +14,8 @@ from qlyap import (
     shifted_controls_independent,
     to_jsonable,
 )
+from qlyap.dynamics import euler_maruyama_step
+
 from conftest import (
     four_level_deficient_model,
     four_level_model,
@@ -234,3 +237,42 @@ def test_escape_matrix_rank_meaning():
     stuck = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
     couplings = np.array([np.vdot(deficient.target, hk @ stuck) for hk in deficient.controls])
     assert np.max(np.abs(couplings)) < 1e-14
+
+
+def _expected_escape_increment(model, law, state):
+    # Mean drift of <t|psi> from a target-orthogonal state when the target is
+    # an eigenvector of H0 and of the observable: the free, measurement and
+    # noise terms vanish there and the feedback leaves
+    # -i/hbar sum_k gain_k Im(<t|H_k|psi>) <t|H_k|psi>.
+    couplings = [complex(np.vdot(model.target, hk @ state)) for hk in model.controls]
+    rate = sum(gain * c.imag * c for gain, c in zip(law.gains, couplings))
+    return -1j / model.hbar * rate
+
+
+def _one_step_rate(model, law, state, dt=1e-6):
+    # one noiseless step moves <t|psi> by rate * dt up to O(dt^2)
+    stepped = euler_maruyama_step(model, law, state, dt, 0.0)
+    return complex(np.vdot(model.target, stepped)) / dt
+
+
+def test_expected_escape_increment_values_and_one_step_agreement():
+    model = four_level_model()
+    law = ControlLaw(gains=(1.0, 1.0, 1.0))
+    # real coupling: zero first-order escape
+    e1 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    assert _expected_escape_increment(model, law, e1) == 0.0
+    assert abs(_one_step_rate(model, law, e1)) < 1e-4
+    # the i-rotated state drives the overlap at unit rate
+    psi = 1j * e1
+    rate = _expected_escape_increment(model, law, psi)
+    assert rate == pytest.approx(1.0, abs=1e-14)
+    assert abs(_one_step_rate(model, law, psi) - rate) < 1e-4
+
+
+def test_expected_escape_increment_zero_on_stuck_state():
+    model = four_level_deficient_model()
+    law = ControlLaw(gains=(1.0, 1.0, 1.0))
+    stuck = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+    for phase in (1.0, 1j, np.exp(0.4j)):
+        assert abs(_expected_escape_increment(model, law, phase * stuck)) == 0.0
+        assert abs(_one_step_rate(model, law, phase * stuck)) < 1e-4

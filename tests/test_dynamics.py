@@ -30,15 +30,7 @@ from qlyap.dynamics import (
 from qlyap.control import control_signals
 from qlyap.quantum import normalize, orthonormal_completion
 
-from conftest import (
-    QUBIT_PSI0,
-    four_level_deficient_model,
-    four_level_model,
-    qubit_model,
-    qutrit_model,
-    random_hermitian,
-    random_state,
-)
+from conftest import QUBIT_PSI0, qubit_model, qutrit_model, random_hermitian, random_state
 
 
 def test_wiener_path_reproducible_and_distributed():
@@ -230,25 +222,6 @@ def test_step_count_is_bounded_or_refused(dt, t_final):
     except (ValidationError, PreconditionError):
         return
     assert 0 <= steps <= MAX_STEPS
-
-
-def test_feedback_leaves_orthogonal_states_at_hand_rates():
-    # On a target-orthogonal state the free, measurement and noise terms
-    # leave <t|psi> at 0, so one noiseless step moves it by rate * dt up to
-    # O(dt^2). With the phase locked to 1 the rate is
-    # -i sum_k gain_k Im(<t|H_k|psi>) <t|H_k|psi>: 1 from i*e1, whose
-    # coupling is imaginary, 0 from e1 (real coupling) and 0 at any phase
-    # of the deficient model's stuck state e4, which no control couples.
-    law = ControlLaw(gains=(1.0, 1.0, 1.0))
-    dt = 1e-6
-    e1 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-    e4 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-    cases = [(four_level_model(), 1j * e1, 1.0), (four_level_model(), e1, 0.0)]
-    deficient = four_level_deficient_model()
-    cases += [(deficient, phase * e4, 0.0) for phase in (1.0, 1j, np.exp(0.4j))]
-    for model, psi, rate in cases:
-        stepped = euler_maruyama_step(model, law, psi, dt, 0.0)
-        assert abs(complex(np.vdot(model.target, stepped)) / dt - rate) < 1e-4
 
 
 def _contraction_model():
