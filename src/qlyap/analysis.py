@@ -18,7 +18,7 @@ from .quantum import eigenstate_eigenvalue, orthonormal_completion
 RANK_TOL = 1e-9
 CLUSTER_REL_TOL = 1e-8
 SWEEP_PAD = 1.0
-# invariant_set_sweep visits at least grid_points ** m nodes; beyond this many it refuses
+# invariant_set_sweep holds per-node arrays over at least grid_points ** m nodes; beyond this many it refuses
 MAX_SWEEP_NODES = 10**6
 
 
@@ -253,13 +253,13 @@ def invariant_set_slice(model, shifts):
 
 @dataclass(frozen=True)
 class InvariantSetSweep:
-    """Grid scan of invariant_set_slice over per-control shift values.
+    """Grid scan of invariant_set_slice dimensions over per-control shift values.
 
     dimension_counts maps slice dimension to the number of grid nodes
     attaining it; max_dimension_slice is the full result at the first
-    node attaining the maximum. target_slice evaluates the canonical
-    shifts <target|H_k|target>, the one choice guaranteed to keep the
-    target itself inside the slice.
+    node, in itertools.product order, attaining the maximum. target_slice
+    evaluates the canonical shifts <target|H_k|target>, the one choice
+    guaranteed to keep the target itself inside the slice.
     """
 
     grids: tuple
@@ -270,11 +270,21 @@ class InvariantSetSweep:
 
 
 def invariant_set_sweep(model, grid_points=50):
-    """Scan invariant_set_slice over a grid per control.
+    """Count invariant_set_slice dimensions over a grid per control.
 
     Each control's grid holds grid_points values spanning its spectrum
     widened by SWEEP_PAD on both sides, plus its eigenvalues. Raises
     ValidationError when grid_points ** m exceeds MAX_SWEEP_NODES.
+
+    The dimensions come from one rank rule rather than one SVD per node.
+    With a_k = <t|H_k|t> and W the matrix with rows H_k t - a_k t, the
+    slice at shifts lam has dimension n - rank W when a - lam lies in the
+    column space of W, and n - rank W - 1 otherwise. rank W and the left
+    kernel L of W are computed once (threshold RANK_TOL * max(s_0, 1)),
+    and the residual L (a - lam) is evaluated over the whole grid by
+    broadcasting; a node lies on the set when its residual norm is within
+    the same threshold. invariant_set_slice runs only twice: at the first
+    node attaining the maximum and at the canonical shifts a.
     """
     if grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
@@ -290,20 +300,35 @@ def invariant_set_sweep(model, grid_points=50):
         eigenvalues = np.linalg.eigvalsh(hk)
         grid = np.linspace(eigenvalues[0] - SWEEP_PAD, eigenvalues[-1] + SWEEP_PAD, grid_points)
         grids.append(np.unique(np.concatenate([grid, eigenvalues])))
-    counts = {}
-    best = None
-    for combo in itertools.product(*grids):
-        result = invariant_set_slice(model, np.array(combo))
-        counts[result.dimension] = counts.get(result.dimension, 0) + 1
-        if best is None or result.dimension > best.dimension:
-            best = result
+    target = model.target
     canonical = np.array(
-        [float(np.real(np.vdot(model.target, hk @ model.target))) for hk in model.controls]
+        [float(np.real(np.vdot(target, hk @ target))) for hk in model.controls]
     )
+    coupling = np.array([hk @ target for hk in model.controls]) - np.outer(canonical, target)
+    left, singular, _ = np.linalg.svd(coupling)
+    threshold = RANK_TOL * max(singular[0], 1.0)
+    rank = int(np.sum(singular > threshold))
+    kernel = left[:, rank:].conj().T
+    # residual[i_1, ..., i_m] = L (a - lam) at the node with shifts lam_k = grids[k][i_k]
+    residual = sum(
+        (a_k - lam_k)[..., None] * kernel[:, k]
+        for k, (a_k, lam_k) in enumerate(zip(canonical, np.ix_(*grids)))
+    )
+    on_set = np.linalg.norm(residual, axis=-1) <= threshold
+    on_count = int(np.count_nonzero(on_set))
+    counts = {
+        dim: count
+        for dim, count in ((model.n - rank - 1, on_set.size - on_count), (model.n - rank, on_count))
+        if count
+    }
+    # the first on-set node attains the maximum; with none on the set every
+    # node has the same dimension and argmax picks node 0
+    first = np.unravel_index(int(np.argmax(on_set)), on_set.shape)
+    best = invariant_set_slice(model, np.array([grid[i] for grid, i in zip(grids, first)]))
     return InvariantSetSweep(
         grids=tuple(grids),
         dimension_counts=counts,
-        max_dimension=best.dimension,
+        max_dimension=max(counts),
         max_dimension_slice=best,
         target_slice=invariant_set_slice(model, canonical),
     )

@@ -36,6 +36,17 @@ def _load(source):
         raise ValidationError(f"{source}: no such file or bundled fixture") from None
 
 
+def _require_writable(path):
+    """Raise unless path can be written, leaving an existing file as it is."""
+    if not path:
+        raise ValidationError("output path must not be empty")
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _maybe_json(args, payload):
     if getattr(args, "json", None):
         write_report_json(args.json, payload)
@@ -82,12 +93,6 @@ def _cmd_simulate(args):
     dt = params.dt if args.dt is None else args.dt
     t_final = params.t_final if args.t_final is None else args.t_final
     psi0 = _initial_state(args, model, params)
-    # fail on an unwritable --out before integrating, leaving an existing file as it is
-    existed = os.path.exists(args.out)
-    with open(args.out, "a", encoding="utf-8"):
-        pass
-    if not existed:
-        os.remove(args.out)
     record = simulate_trajectory(model, law, psi0, dt, t_final, seed)
     write_trajectory_csv(args.out, record, model, law)
     print(
@@ -243,6 +248,10 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code == 0 else USAGE
     try:
+        # fail on an unwritable --out or --json before any work starts
+        for path in (getattr(args, "out", None), getattr(args, "json", None)):
+            if path is not None:
+                _require_writable(path)
         return args.func(args)
     except (ValidationError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,9 @@ def require_state_vector(vec, name="state"):
     """Return vec as a complex array, raising unless finite with norm 1 within STATE_NORM_TOL."""
     arr = as_complex_vector(vec, name)
     _require_finite(arr, name)
-    norm = float(np.linalg.norm(arr))
+    # entries near the float limit overflow to an inf norm, which fails below
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValidationError(f"{name}: norm {norm:.12g} is not 1 within {STATE_NORM_TOL:g}")
     return arr
@@ -50,7 +52,8 @@ def require_hermitian(mat, name="operator"):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name}: expected a square matrix, got shape {arr.shape}")
     _require_finite(arr, name)
-    dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+    with np.errstate(over="ignore"):
+        dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
     if dev > HERMITIAN_TOL:
         raise ValidationError(f"{name}: not Hermitian within {HERMITIAN_TOL:g} (max deviation {dev:.3g})")
     return arr
@@ -59,8 +62,10 @@ def require_hermitian(mat, name="operator"):
 def require_traceless_hermitian(mat, name="operator"):
     """Hermitian check plus |trace| <= TRACE_TOL (membership in i*su(n) directions)."""
     arr = require_hermitian(mat, name)
-    tr = complex(np.trace(arr))
-    if abs(tr) > TRACE_TOL:
+    # a sum of huge entries is inf, or nan where +inf and -inf partial sums meet
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = complex(np.trace(arr))
+    if not abs(tr) <= TRACE_TOL:
         raise ValidationError(f"{name}: trace {tr:.3g} is not 0 within {TRACE_TOL:g}")
     return arr
 

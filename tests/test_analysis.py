@@ -1,10 +1,15 @@
 """Structural analysis: assumption report, invariant slices, escape matrix."""
 
+import itertools
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qlyap import (
     ControlLaw,
+    InvariantSetSweep,
     SystemModel,
     check_assumptions,
     common_eigenkets,
@@ -13,7 +18,9 @@ from qlyap import (
     invariant_set_sweep,
     shifted_controls_independent,
     to_jsonable,
+    write_report_json,
 )
+from qlyap.analysis import MAX_SWEEP_NODES
 from qlyap.dynamics import euler_maruyama_step
 
 from conftest import (
@@ -21,8 +28,11 @@ from conftest import (
     four_level_model,
     qubit_model,
     qutrit_model,
+    random_hermitian,
     random_state,
 )
+
+GOLDEN_SWEEP = pathlib.Path(__file__).parent / "golden" / "sweep_deficient.json"
 
 
 def test_assumptions_hold_on_good_models():
@@ -200,6 +210,127 @@ def test_invariant_set_sweep_b2():
     assert set(sweep.dimension_counts) <= {2, 3}
     assert min(sweep.dimension_counts) == 2
     assert sweep.max_dimension == 3  # both grids share shift values
+
+
+def _sweep_by_slices(model, grids):
+    # the per-node loop the sweep ran before the rank rule: one
+    # invariant_set_slice per node in itertools.product order
+    counts = {}
+    best = None
+    for combo in itertools.product(*grids):
+        result = invariant_set_slice(model, np.array(combo))
+        counts[result.dimension] = counts.get(result.dimension, 0) + 1
+        if best is None or result.dimension > best.dimension:
+            best = result
+    canonical = np.array(
+        [float(np.real(np.vdot(model.target, hk @ model.target))) for hk in model.controls]
+    )
+    return InvariantSetSweep(
+        grids=grids,
+        dimension_counts=counts,
+        max_dimension=best.dimension,
+        max_dimension_slice=best,
+        target_slice=invariant_set_slice(model, canonical),
+    )
+
+
+def _assert_sweep_matches_slices(model, grid_points):
+    sweep = invariant_set_sweep(model, grid_points=grid_points)
+    oracle = _sweep_by_slices(model, sweep.grids)
+    assert sweep.dimension_counts == oracle.dimension_counts
+    assert sweep.max_dimension == oracle.max_dimension
+    assert to_jsonable(sweep) == to_jsonable(oracle)
+    return sweep
+
+
+@pytest.mark.parametrize("grid_points", [3, 7])
+def test_invariant_set_sweep_matches_per_node_slices_on_fixtures(grid_points):
+    for model in (qubit_model(), qutrit_model(), four_level_model(), _b2_model()):
+        _assert_sweep_matches_slices(model, grid_points)
+    # axis 4 decouples, so the nodes whose third shift is 0 gain a dimension
+    sweep = _assert_sweep_matches_slices(four_level_deficient_model(), grid_points)
+    plane = sweep.grids[0].size * sweep.grids[1].size
+    assert sweep.dimension_counts == {1: plane * (sweep.grids[2].size - 1), 2: plane}
+
+
+def _traceless_control(rng, n, eigenket=None):
+    h = random_hermitian(rng, n)
+    if eigenket is not None:
+        # keep eigenket as an eigenvector: zero its couplings to the rest
+        ket = np.outer(eigenket, eigenket.conj())
+        proj = np.eye(n) - ket
+        h = proj @ h @ proj + rng.normal() * ket
+        h = 0.5 * (h + h.conj().T)
+    return h - (np.trace(h).real / n) * np.eye(n)
+
+
+def _random_sweep_models(seed):
+    """Seeded models with n <= 4, generic and with a rank-deficient coupling matrix W."""
+    rng = np.random.default_rng(seed)
+    for n, m in itertools.product((2, 3, 4), (1, 2, 3)):
+        target = random_state(rng, n)
+        other = random_state(rng, n)
+        other = other - np.vdot(target, other) * target
+        other = other / np.linalg.norm(other)
+        families = {
+            "generic": [_traceless_control(rng, n) for _ in range(m)],
+            # an orthogonal eigenket shared by every control drops rank W
+            "shared eigenket": [_traceless_control(rng, n, other) for _ in range(m)],
+            # the target is an eigenvector of control 0: a zero row of W
+            "zero row": [_traceless_control(rng, n, target)]
+            + [_traceless_control(rng, n) for _ in range(m - 1)],
+            # the target is an eigenvector of every control: W = 0
+            "all rows zero": [_traceless_control(rng, n, target) for _ in range(m)],
+        }
+        if m >= 2:
+            first = _traceless_control(rng, n)
+            families["duplicated rows"] = [first] + [
+                _traceless_control(rng, n) for _ in range(m - 2)
+            ] + [first]
+        for kind, controls in families.items():
+            model = SystemModel(
+                free_hamiltonian=_traceless_control(rng, n),
+                controls=tuple(controls),
+                observable=random_hermitian(rng, n),
+                target=target,
+                measurement_strength=1.0,
+            )
+            yield f"n={n} m={m} {kind}", model
+
+
+def test_invariant_set_sweep_matches_per_node_slices_on_random_models():
+    classes = {}
+    for label, model in _random_sweep_models(405):
+        sweep = _assert_sweep_matches_slices(model, 5 if model.m < 3 else 3)
+        classes[label] = len(sweep.dimension_counts)
+    # the deficient families put nodes on the set, next to nodes off it
+    assert classes["n=4 m=3 duplicated rows"] == 2
+    assert classes["n=3 m=2 zero row"] == 2
+    assert classes["n=4 m=2 all rows zero"] == 2
+    assert sum(count == 2 for count in classes.values()) >= 10
+
+
+def test_invariant_set_sweep_near_node_limit_stays_in_memory_bound():
+    # 995 points keep 995 ** 2 under MAX_SWEEP_NODES; the eigenvalues the
+    # grids add make 998 * 997 = 995006 nodes
+    model = _b2_model()
+    assert 995**2 <= MAX_SWEEP_NODES
+    tracemalloc.start()
+    try:
+        sweep = invariant_set_sweep(model, grid_points=995)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sweep.dimension_counts.values()) == 995006
+    assert sweep.max_dimension == 3
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_golden_sweep_bytes(tmp_path):
+    # tests/golden/make_golden.py writes it; its nodes fall in two dimension classes
+    path = tmp_path / "sweep.json"
+    write_report_json(path, invariant_set_sweep(four_level_deficient_model(), grid_points=10))
+    assert path.read_bytes() == GOLDEN_SWEEP.read_bytes()
 
 
 def test_escape_matrix_four_level():

@@ -1,9 +1,13 @@
 """End-to-end command line behavior: output, files, exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlyap import ControlLaw, IntegrationError, RunParams, SystemModel, dump_definition
 from qlyap.cli import main
@@ -124,6 +128,7 @@ def test_simulate_rejects_non_finite_times(good_def, tmp_path, capsys, flag, val
         ["invariant-set", "qubit", "--grid-points", "100000000000"],
         ["simulate", "qubit", "--dt", "1e-300"],
         ["simulate", "qubit", "--t-final", "1e300"],
+        ["simulate", "qubit", "--psi0", "1e308,0,1e308,0"],
     ],
 )
 def test_bad_inputs_exit_with_error_line(tmp_path, capsys, argv):
@@ -138,13 +143,24 @@ def test_bad_inputs_exit_with_error_line(tmp_path, capsys, argv):
     [
         ["simulate", "qubit", "--t-final", "0.1", "--out"],
         ["check", "qubit", "--json"],
+        ["ensemble", "qubit", "--json"],
+        ["report", "qubit", "--json"],
+        ["escape", "qubit", "--json"],
+        ["invariant-set", "qubit", "--json"],
     ],
 )
 def test_unwritable_output_exits_with_error_line(tmp_path, capsys, monkeypatch, argv):
-    def must_not_integrate(*args, **kwargs):
-        raise AssertionError("simulate integrated before checking --out")
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} started work before checking its output path")
 
-    monkeypatch.setattr("qlyap.cli.simulate_trajectory", must_not_integrate)
+    for worker in (
+        "simulate_trajectory",
+        "run_ensemble",
+        "check_assumptions",
+        "escape_matrix",
+        "invariant_set_sweep",
+    ):
+        monkeypatch.setattr(f"qlyap.cli.{worker}", must_not_run)
     path = str(tmp_path / "missing" / "out.file")
     assert main(argv + [path]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
@@ -235,6 +251,92 @@ def test_usage_and_missing_definition(capsys):
     capsys.readouterr()
     assert main(["check", "no-such-definition"]) == 1
     assert "no such file or bundled fixture" in capsys.readouterr().err
+
+
+def _parses_as_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# every numeric value here is malformed or an edge: non-finite, zero,
+# negative, or past any size the commands accept; free text is drawn only
+# where it cannot parse as a number
+_BAD_NUMBERS = st.sampled_from(
+    ["", "abc", "nan", "NaN", "inf", "-inf", "0", "-1", "-2.5", "1e308", "-1e308", str(10**30)]
+) | st.text(max_size=8).filter(lambda text: not _parses_as_number(text))
+_BAD_TRIALS = _BAD_NUMBERS.filter(lambda text: text != str(10**30))
+_BAD_PSI0 = st.sampled_from(
+    ["", "nan,0,1,0", "inf,0,0,0", "1e308,0,1e308,0", "0,0,0,0", "1,0", "a,b,c,d", "1,0,0,0,0,0"]
+) | st.text(max_size=12)
+_PATHS = st.sampled_from(["", "{dir}", "{dir}/missing/out.file", "{dir}/out.file"])
+_FLAGS = {
+    "check": {"--json": _PATHS},
+    "simulate": {
+        "--out": _PATHS,
+        "--seed": _BAD_NUMBERS,
+        "--dt": _BAD_NUMBERS,
+        "--t-final": _BAD_NUMBERS,
+        "--psi0": _BAD_PSI0,
+    },
+    "ensemble": {
+        "--trials": _BAD_TRIALS,
+        "--seed": _BAD_NUMBERS,
+        "--stride": _BAD_NUMBERS,
+        "--psi0": _BAD_PSI0,
+        "--json": _PATHS,
+    },
+    "invariant-set": {"--grid-points": _BAD_NUMBERS, "--json": _PATHS},
+    "escape": {"--json": _PATHS},
+    "report": {"--trials": _BAD_TRIALS, "--psi0": _BAD_PSI0, "--json": _PATHS},
+}
+
+
+@st.composite
+def _malformed_argv(draw):
+    # one malformed flag per call, so that its own check is the one reached
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flag = draw(st.sampled_from(sorted(_FLAGS[command])))
+    argv = [command, "{dir}/short.json", f"{flag}={draw(_FLAGS[command][flag])}"]
+    if command == "simulate" and flag != "--out":
+        argv.append("--out={dir}/out.file")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def short_qubit_dir(tmp_path_factory):
+    where = tmp_path_factory.mktemp("cli-flags")
+    _write(
+        where,
+        "short.json",
+        qubit_model(),
+        ControlLaw(gains=(1.0,)),
+        dt=0.01,
+        t_final=0.05,
+        trials=4,
+        initial_state=QUBIT_PSI0,
+    )
+    return str(where)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_malformed_argv())
+def test_malformed_flags_never_raise(short_qubit_dir, argv):
+    """Malformed flag values on a 5-step qubit definition end in an exit code, never a traceback.
+
+    Each call sets one flag of one subcommand to non-numeric text, an
+    empty string, NaN, +-inf, zero, a negative, 1e308 or 10**30, or sets
+    --out/--json to an empty, directory or unwritable path. Valid but
+    long runs are left out of the strategy: a huge --trials (10**30) or a
+    long --t-final would run for hours and prove nothing about flag
+    handling.
+    """
+    argv = [arg.replace("{dir}", short_qubit_dir) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 64), argv
 
 
 def test_console_script_entry_point():

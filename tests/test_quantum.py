@@ -28,6 +28,10 @@ def test_require_state_vector_accepts_unit_rejects_rest():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValidationError, match="psi0: entries must be finite"):
             require_state_vector(np.array([bad, 0.0]), "psi0")
+    # finite but huge: the norm overflows to inf and must fail as a ValidationError
+    for huge in (np.array([1e308, 1e308]), np.array([1e308 + 1e308j, 0.0])):
+        with pytest.raises(ValidationError, match="psi0: norm inf"):
+            require_state_vector(huge, "psi0")
 
 
 def test_require_hermitian_and_traceless():
@@ -42,6 +46,14 @@ def test_require_hermitian_and_traceless():
     require_traceless_hermitian(np.diag([1.0, -1.0]))
     with pytest.raises(ValidationError):
         require_traceless_hermitian(np.diag([1.0, 1.0]))
+    # finite but huge entries overflow the checks to inf (or nan) and still fail
+    for skew in (np.array([[0.0, 1e308], [-1e308, 0.0]]), np.array([[0.0, 1e308j], [1e308j, 0.0]])):
+        with pytest.raises(ValidationError, match="h0: not Hermitian"):
+            require_hermitian(skew, "h0")
+    require_traceless_hermitian(np.diag([1e308, -1e308]))
+    for diagonal in ([1e308, 1e308], [1e308, -1e308] * 16):
+        with pytest.raises(ValidationError, match="h0: trace"):
+            require_traceless_hermitian(np.diag(diagonal + [1e308]), "h0")
 
 
 def test_normalize():
