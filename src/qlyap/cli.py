@@ -54,8 +54,7 @@ def _maybe_json(args, payload):
 
 
 def _cmd_check(args):
-    model, law, _ = _load(args.definition)
-    law.require_matching(model)
+    model, _, _ = _load(args.definition)
     report = check_assumptions(model)
     for name in (
         "target_free_eigenstate",
@@ -134,8 +133,7 @@ def _cmd_ensemble(args):
 
 
 def _cmd_invariant_set(args):
-    model, law, _ = _load(args.definition)
-    law.require_matching(model)
+    model, _, _ = _load(args.definition)
     sweep = invariant_set_sweep(model, grid_points=args.grid_points)
     for dim in sorted(sweep.dimension_counts):
         print(f"dimension {dim}: {sweep.dimension_counts[dim]} grid nodes")
@@ -149,8 +147,7 @@ def _cmd_invariant_set(args):
 
 
 def _cmd_escape(args):
-    model, law, _ = _load(args.definition)
-    law.require_matching(model)
+    model, _, _ = _load(args.definition)
     result = escape_matrix(model)
     singular = ", ".join(f"{s:.6f}" for s in result.singular_values)
     print(f"escape matrix rank {result.rank} of {model.n - 1} (singular values: {singular})")

@@ -319,7 +319,8 @@ def _step_count(dt, t_final):
     if ratio > MAX_STEPS:
         raise ValidationError(f"t_final {t_final} / dt {dt} exceeds MAX_STEPS = {MAX_STEPS} steps")
     steps = int(round(ratio))
-    if abs(steps * dt - t_final) > 1e-9 * max(abs(t_final), dt):
+    # the tolerance scales with t_final alone: a dt far beyond t_final is 0 steps off by t_final
+    if abs(steps * dt - t_final) > 1e-9 * t_final:
         raise PreconditionError(f"dt {dt} does not divide t_final {t_final}")
     return steps
 

@@ -8,30 +8,22 @@ Parsing errors always name the offending field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .analysis import (
     AssumptionReport,
-    ControlsFinding,
-    EigenstateFinding,
     EscapeMatrixResult,
     IndependenceFinding,
     InvariantSetResult,
     InvariantSetSweep,
 )
 from .control import control_signals
-from .ensemble import (
-    EnsembleSummary,
-    ProbeResult,
-    StabilityBoundReport,
-    StabilityRow,
-    SupermartingaleResult,
-)
+from .ensemble import EnsembleSummary, StabilityBoundReport
 from .errors import ValidationError
 from .model import ControlLaw, SystemModel
 from .quantum import require_state_vector
@@ -39,7 +31,7 @@ from .quantum import require_state_vector
 DEFAULT_R_LIST = (0.3, 0.5, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunParams:
     """Ensemble execution parameters bundled with a definition file.
 
@@ -53,6 +45,16 @@ class RunParams:
     seed: int
     r_list: tuple = DEFAULT_R_LIST
     initial_state: np.ndarray | None = None
+
+    def __post_init__(self):
+        # dump_definition writes the fields as they are, so hold them in file types
+        for name, kind in (("dt", float), ("t_final", float), ("trials", int), ("seed", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "r_list", tuple(float(r) for r in self.r_list))
+        if self.initial_state is not None:
+            object.__setattr__(
+                self, "initial_state", np.asarray(self.initial_state, dtype=np.complex128)
+            )
 
 
 def _require_number(value, where):
@@ -224,37 +226,15 @@ def _pairs(array):
     array = np.asarray(array, dtype=np.complex128)
     if array.ndim == 1:
         return [[float(v.real), float(v.imag)] for v in array]
-    return [_pairs(row) for row in array]
+    return [_pairs(row) for row in array] if array.size else []
 
 
 def dump_definition(path, model, law, params):
     """Write a definition file that load_definition parses back exactly."""
-    data = {
-        "system": {
-            "free_hamiltonian": _pairs(model.free_hamiltonian),
-            "controls": [_pairs(hk) for hk in model.controls],
-            "observable": _pairs(model.observable),
-            "target": _pairs(model.target),
-            "measurement_strength": float(model.measurement_strength),
-            "hbar": float(model.hbar),
-        },
-        "control_law": {
-            "gains": [float(g) for g in law.gains],
-            "phase_tol": float(law.phase_tol),
-        },
-        "run": {
-            "dt": float(params.dt),
-            "t_final": float(params.t_final),
-            "trials": int(params.trials),
-            "seed": int(params.seed),
-            "r_list": [float(r) for r in params.r_list],
-        },
-    }
-    if params.initial_state is not None:
-        data["run"]["initial_state"] = _pairs(params.initial_state)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    data = to_jsonable({"system": model, "control_law": law, "run": params})
+    if params.initial_state is None:
+        del data["run"]["initial_state"]
+    _write_json(path, data)
 
 
 def write_trajectory_csv(path, record, model, law):
@@ -285,127 +265,70 @@ def write_trajectory_csv(path, record, model, law):
         np.savetxt(handle, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
-def _float_or_none(value):
-    value = float(value)
-    return None if not np.isfinite(value) else value
+# Where a report's JSON differs from its dataclass fields: each entry maps
+# an output key to a function of the report, or to None to drop that field.
+_LAYOUT = {
+    EnsembleSummary: {
+        "included": lambda s: s.included,
+        "final_fidelity_histogram": lambda s: dict(
+            zip(("counts", "bin_edges"), s.final_fidelity_histogram)
+        ),
+    },
+    AssumptionReport: {"all_hold": lambda r: r.all_hold},
+    StabilityBoundReport: {"passes": lambda r: r.passes},
+    IndependenceFinding: {
+        "common_eigenkets": None,
+        "common_eigenket_count": lambda f: len(f.common_eigenkets),
+    },
+    InvariantSetResult: {"basis": lambda r: r.basis.T},
+    InvariantSetSweep: {
+        "grids": None,
+        "grid_sizes": lambda s: [g.size for g in s.grids],
+    },
+    EscapeMatrixResult: {"completion": None},
+}
 
 
 def to_jsonable(obj):
-    """Convert the package's report objects into JSON-serializable data."""
-    if isinstance(obj, EnsembleSummary):
-        counts, edges = obj.final_fidelity_histogram
-        return {
-            "trials": obj.trials,
-            "included": obj.included,
-            "failures": obj.failures,
-            "excluded_seeds": list(obj.excluded_seeds),
-            "base_seed": obj.base_seed,
-            "dt": obj.dt,
-            "t_final": obj.t_final,
-            "times": [float(t) for t in obj.times],
-            "mean_V": [float(v) for v in obj.mean_V],
-            "stderr_V": [float(v) for v in obj.stderr_V],
-            "mean_X": [float(v) for v in obj.mean_X],
-            "stderr_X": [float(v) for v in obj.stderr_X],
-            "mean_fidelity": [float(v) for v in obj.mean_fidelity],
-            "stderr_fidelity": [float(v) for v in obj.stderr_fidelity],
-            "sup_distance_exceed_prob": {str(r): float(p) for r, p in obj.sup_distance_exceed_prob.items()},
-            "first_exit_times": {
-                str(r): [_float_or_none(t) for t in times]
-                for r, times in obj.first_exit_times.items()
-            },
-            "final_fidelity_histogram": {
-                "counts": [int(c) for c in counts],
-                "bin_edges": [float(e) for e in edges],
-            },
-        }
-    if isinstance(obj, AssumptionReport):
-        return {
-            "target_free_eigenstate": to_jsonable(obj.target_free_eigenstate),
-            "controls_move_target": to_jsonable(obj.controls_move_target),
-            "target_observable_eigenstate": to_jsonable(obj.target_observable_eigenstate),
-            "independent_generators": to_jsonable(obj.independent_generators),
-            "all_hold": obj.all_hold,
-        }
-    if isinstance(obj, EigenstateFinding):
-        return {"holds": obj.holds, "eigenvalue": obj.eigenvalue, "degeneracy": obj.degeneracy}
-    if isinstance(obj, ControlsFinding):
-        return {"holds": obj.holds, "movers": list(obj.movers)}
-    if isinstance(obj, IndependenceFinding):
-        return {
-            "holds": obj.holds,
-            "rank": obj.rank,
-            "common_eigenket_count": len(obj.common_eigenkets),
-        }
-    if isinstance(obj, InvariantSetResult):
-        return {
-            "shifts": list(obj.shifts),
-            "dimension": obj.dimension,
-            "basis": _pairs(obj.basis.T) if obj.basis.size else [],
-            "contains_target": obj.contains_target,
-            "singular_values": list(obj.singular_values),
-        }
-    if isinstance(obj, InvariantSetSweep):
-        return {
-            "grid_sizes": [int(g.size) for g in obj.grids],
-            "dimension_counts": {str(k): int(v) for k, v in sorted(obj.dimension_counts.items())},
-            "max_dimension": obj.max_dimension,
-            "max_dimension_slice": to_jsonable(obj.max_dimension_slice),
-            "target_slice": to_jsonable(obj.target_slice),
-        }
-    if isinstance(obj, EscapeMatrixResult):
-        return {
-            "matrix": _pairs(obj.matrix) if obj.matrix.size else [],
-            "full_rank": obj.full_rank,
-            "rank": obj.rank,
-            "singular_values": list(obj.singular_values),
-        }
-    if isinstance(obj, SupermartingaleResult):
-        return {
-            "passes": obj.passes,
-            "worst_violation_sigma": _float_or_none(obj.worst_violation_sigma),
-            "pairs": obj.pairs,
-        }
-    if isinstance(obj, StabilityRow):
-        return {
-            "perturbation_size": obj.perturbation_size,
-            "v0": obj.v0,
-            "floor": obj.floor,
-            "bound": obj.bound,
-            "empirical_p": obj.empirical_p,
-            "stderr": obj.stderr,
-            "passes": obj.passes,
-        }
-    if isinstance(obj, StabilityBoundReport):
-        return {
-            "radius": obj.radius,
-            "rows": [to_jsonable(r) for r in obj.rows],
-            "monotone_within_band": obj.monotone_within_band,
-            "passes": obj.passes,
-        }
-    if isinstance(obj, ProbeResult):
-        return {
-            "candidate": _pairs(obj.candidate),
-            "stationary": obj.stationary,
-            "mean_drift_v": obj.mean_drift_v,
-            "stderr_drift_v": obj.stderr_drift_v,
-            "mean_drift_distance": obj.mean_drift_distance,
-            "stderr_drift_distance": obj.stderr_drift_distance,
-            "mean_drift_fidelity": obj.mean_drift_fidelity,
-            "stderr_drift_fidelity": obj.stderr_drift_fidelity,
-        }
+    """Convert report objects, definitions and containers into JSON data.
+
+    One rule covers every type: a dataclass becomes an object of its
+    fields (amended by _LAYOUT), a complex array a nest of [re, im] pairs,
+    any other array its .tolist(), a dict an object with str() keys, a
+    list or tuple a list, and a non-finite float null.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        for key, get in _LAYOUT.get(type(obj), {}).items():
+            if get is None:
+                del fields[key]
+            else:
+                fields[key] = get(obj)
+        return to_jsonable(fields)
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return _pairs(obj)
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            return [to_jsonable(v) for v in obj]
+        return obj.tolist()
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, (np.bool_, np.integer, np.floating)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     raise ValidationError(f"no JSON encoding for objects of type {type(obj).__name__}")
 
 
-def write_report_json(path, obj):
+def _write_json(path, data):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(to_jsonable(obj), handle, indent=2, sort_keys=True)
+        json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def write_report_json(path, obj):
+    _write_json(path, to_jsonable(obj))

@@ -11,32 +11,115 @@ sweep_deficient.json is the invariant-set sweep of conftest's
 four_level_deficient_model at 10 grid points, written with
 write_report_json; its nodes fall into two dimension classes.
 
-Any change to the step kernel's rounding moves the first two files, and any
-change to the chunk reduction moves the second. The third moves only with
-the invariant-set analysis. Regenerate only on purpose, and record in
-CHANGES.md why and how far the values moved.
+The remaining files pin the JSON encoding of every other report and of the
+definition file, one each:
+- report_qubit.json: `qlyap report --json` on the bundled qubit shortened
+  to t_final 0.1 and 8 trials (assumptions, escape matrix, ensemble
+  summary and supermartingale gate);
+- check_deficient.json: check_assumptions of four_level_deficient_model,
+  whose generators share a common eigenket;
+- probe_qubit.json: invariance_probe of the conftest qubit at its target
+  and at the orthogonal state;
+- stability_qubit.json: stability_bound_test of the conftest qubit;
+- definition_qutrit.json and definition_qutrit_no_psi0.json:
+  dump_definition of the bundled qutrit, with and without its initial
+  state.
+
+Any change to the step kernel's rounding moves the trajectory, ensemble,
+report, probe and stability files, and any change to the chunk reduction
+moves the ensemble and report files. The sweep moves only with the
+invariant-set analysis, and the definitions only with the definition
+format. Regenerate only on purpose, and record in CHANGES.md why and how
+far the values moved.
 """
 
+import contextlib
+import dataclasses
+import io
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent.parent / "src"))
 sys.path.insert(0, str(HERE.parent))
 
 from qlyap import (  # noqa: E402
+    ControlLaw,
     bundled_fixture,
+    check_assumptions,
+    dump_definition,
+    invariance_probe,
     invariant_set_sweep,
     run_ensemble,
     simulate_trajectory,
+    stability_bound_test,
     write_report_json,
     write_trajectory_csv,
 )
-from conftest import four_level_deficient_model  # noqa: E402
+from qlyap.cli import main as cli_main  # noqa: E402
+from conftest import four_level_deficient_model, qubit_model  # noqa: E402
 
 GOLDEN = HERE / "qubit_seed7.csv"
 GOLDEN_ENSEMBLE = HERE / "ensemble_qubit_seed7.json"
 GOLDEN_SWEEP = HERE / "sweep_deficient.json"
+
+
+def write_report(path):
+    model, law, params = bundled_fixture("qubit")
+    with tempfile.TemporaryDirectory() as tmp:
+        definition = str(Path(tmp) / "qubit_short.json")
+        dump_definition(definition, model, law, dataclasses.replace(params, t_final=0.1, trials=8))
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["report", definition, "--json", str(path)])
+
+
+def write_check(path):
+    write_report_json(path, check_assumptions(four_level_deficient_model()))
+
+
+def write_probe(path):
+    candidates = [np.array([0.0, 1.0], dtype=complex), np.array([1.0, 0.0], dtype=complex)]
+    results = invariance_probe(
+        qubit_model(), ControlLaw(gains=(1.0,)), candidates, 0.01, 0.2, trials=8, base_seed=3
+    )
+    write_report_json(path, results)
+
+
+def write_stability(path):
+    report = stability_bound_test(
+        qubit_model(),
+        ControlLaw(gains=(1.0,)),
+        0.5,
+        (0.0, 0.2),
+        16,
+        dt=0.01,
+        t_final=0.5,
+        base_seed=11,
+    )
+    write_report_json(path, report)
+
+
+def write_definition(path):
+    dump_definition(path, *bundled_fixture("qutrit"))
+
+
+def write_definition_no_psi0(path):
+    model, law, params = bundled_fixture("qutrit")
+    dump_definition(path, model, law, dataclasses.replace(params, initial_state=None))
+
+
+# file name -> writer, for the goldens that pin one JSON encoding each
+ENCODINGS = {
+    "report_qubit.json": write_report,
+    "check_deficient.json": write_check,
+    "probe_qubit.json": write_probe,
+    "stability_qubit.json": write_stability,
+    "definition_qutrit.json": write_definition,
+    "definition_qutrit_no_psi0.json": write_definition_no_psi0,
+}
 
 
 def main():
@@ -51,6 +134,9 @@ def main():
     print(f"wrote {GOLDEN_ENSEMBLE}")
     write_report_json(GOLDEN_SWEEP, invariant_set_sweep(four_level_deficient_model(), grid_points=10))
     print(f"wrote {GOLDEN_SWEEP}")
+    for name, write in ENCODINGS.items():
+        write(HERE / name)
+        print(f"wrote {HERE / name}")
 
 
 if __name__ == "__main__":

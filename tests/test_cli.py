@@ -129,6 +129,7 @@ def test_simulate_rejects_non_finite_times(good_def, tmp_path, capsys, flag, val
         ["simulate", "qubit", "--dt", "1e-300"],
         ["simulate", "qubit", "--t-final", "1e300"],
         ["simulate", "qubit", "--psi0", "1e308,0,1e308,0"],
+        ["simulate", "qubit", "--dt", "1e308"],
     ],
 )
 def test_bad_inputs_exit_with_error_line(tmp_path, capsys, argv):

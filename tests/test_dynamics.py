@@ -192,6 +192,11 @@ def test_step_count_must_divide():
     law = ControlLaw(gains=(1.0,))
     with pytest.raises(PreconditionError):
         simulate_trajectory(model, law, QUBIT_PSI0, 0.0003, 0.001, 1)
+    assert _step_count(0.002, 0.3) == 150
+    assert _step_count(0.01, 0.0) == 0
+    # a dt far beyond t_final is not a 0-step run
+    with pytest.raises(PreconditionError, match="does not divide"):
+        _step_count(1e308, 10.0)
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from qlyap import (
 from qlyap.io import _parse_definition
 
 from conftest import QUBIT_PSI0, QUTRIT_PSI0, qubit_model, qutrit_model
+from golden.make_golden import ENCODINGS, HERE as GOLDEN_DIR
 
 
 def _qutrit_setup():
@@ -80,6 +81,25 @@ def test_definition_round_trip_without_initial_state(tmp_path):
     _, _, params2 = load_definition(path)
     assert params2.initial_state is None
     assert params2.r_list == (0.3, 0.5, 1.0)
+
+
+def test_dump_definition_writes_run_fields_in_file_types(tmp_path):
+    # a real initial state and integer times still dump as pairs and floats
+    model, law, _ = _qutrit_setup()
+    params = RunParams(
+        dt=1,
+        t_final=2,
+        trials=np.int64(3),
+        seed=0,
+        r_list=(1,),
+        initial_state=np.array([0.6, 0.8, 0.0]),
+    )
+    path = tmp_path / "def.json"
+    dump_definition(path, model, law, params)
+    run = json.loads(path.read_text())["run"]
+    assert run["dt"] == 1.0 and isinstance(run["dt"], float) and run["r_list"] == [1.0]
+    assert run["initial_state"] == [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]]
+    assert np.array_equal(load_definition(path)[2].initial_state, [0.6, 0.8, 0.0])
 
 
 def test_bundled_fixtures():
@@ -271,6 +291,27 @@ def test_report_json_round_trip(tmp_path):
     assert back["escape"]["full_rank"] is True
     assert back["slice"]["dimension"] == 1
     assert len(back["slice"]["basis"]) == 1 and len(back["slice"]["basis"][0]) == 2
+
+
+@pytest.mark.parametrize("name", sorted(ENCODINGS))
+def test_golden_encoding_bytes(tmp_path, name):
+    # tests/golden/make_golden.py wrote each file before the field-driven encoder
+    path = tmp_path / name
+    ENCODINGS[name](path)
+    assert path.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_to_jsonable_writes_non_finite_floats_as_null():
+    data = {
+        1.5: (np.float64(np.nan), -np.inf, 2.0),
+        "rows": np.array([[np.inf, 1.0], [0.5, np.nan]]),
+        "ints": np.arange(3),
+    }
+    assert to_jsonable(data) == {
+        "1.5": [None, None, 2.0],
+        "rows": [[None, 1.0], [0.5, None]],
+        "ints": [0, 1, 2],
+    }
 
 
 def test_to_jsonable_rejects_unknown_types():

@@ -1,4 +1,5 @@
-"""Source hygiene: every import in a qlyap module is used there."""
+"""Source hygiene: every import in a qlyap module is used there, and every
+module-level private name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,13 @@ from pathlib import Path
 import qlyap
 
 PACKAGE_DIR = Path(qlyap.__file__).parent
+
+
+def _trees():
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
 
 
 def _unused_imports(tree):
@@ -21,12 +29,46 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
 def test_no_module_keeps_an_unused_import():
     # __init__.py imports names only to re-export them
     leftovers = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "__init__.py":
+    for name, tree in _trees().items():
+        if name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        leftovers += [f"{path.name}:{line}: {name}" for line, name in _unused_imports(tree)]
+        leftovers += [f"{name}:{line}: {imp}" for line, imp in _unused_imports(tree)]
     assert not leftovers, "unused imports:\n" + "\n".join(leftovers)
+
+
+def test_no_module_keeps_an_unused_private_name():
+    trees = _trees()
+    referenced = {ref for tree in trees.values() for ref in _references(tree)}
+    leftovers = [
+        f"{name}:{line}: {private}"
+        for name, tree in trees.items()
+        for line, private in _private_definitions(tree)
+        if private not in referenced
+    ]
+    assert not leftovers, "private names nothing uses:\n" + "\n".join(leftovers)
