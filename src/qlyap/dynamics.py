@@ -13,11 +13,15 @@ generator (Philox) so every trajectory is reproducible from its seed;
 wiener_blocks() streams the same increments for a batch of seeds in
 fixed time blocks, so no caller holds a whole (rows, steps) array.
 
-The step kernel (_Stepper) batches trajectories as rows and gets every
-operator product a step needs from one matmul against an operator block
-built once per run; its states() generator, the package's one loop over
-time, consumes increment blocks, yields every state of the batch and
-callers record what they need.
+The step kernel (_Stepper) holds a batch as one real block of shape
+(2n, B), real parts of the components above imaginary parts, one
+trajectory per column, and gets every operator product a step needs from
+one matmul against a real operator stack built once per run; every later
+op runs on contiguous length-B rows. Its states() generator, the
+package's one loop over time, consumes increment blocks, yields every
+state of the batch and callers record what they need. Complex state rows
+are converted to and from the block only at the public boundary
+(euler_maruyama_step_many, simulate_trajectory).
 drift() and diffusion() spell the same update out term by term; they are
 the reference the kernel is tested against.
 """
@@ -130,32 +134,72 @@ def diffusion(model, state):
     return np.sqrt(2.0 * model.measurement_strength) * (model.observable @ psi - x_mean * psi)
 
 
-def _row_norms(z):
-    """Euclidean norm of each row of a contiguous complex (B, n) array."""
-    f = z.view(np.float64)  # (B, 2n): real and imaginary parts side by side
-    return np.sqrt(np.einsum("ij,ij->i", f, f))
+def _to_block(rows):
+    """Complex state rows (B, n) as the kernel's real block (2n, B): Re psi above Im psi, one column each."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    n = rows.shape[1]
+    block = np.empty((2 * n, rows.shape[0]))
+    block[:n] = rows.real.T
+    block[n:] = rows.imag.T
+    return block
+
+
+def _to_rows(block):
+    """The kernel's real block (2n, B) as complex state rows (B, n); _to_rows(_to_block(z)) == z."""
+    n = block.shape[0] // 2
+    rows = np.empty((block.shape[1], n), dtype=np.complex128)
+    rows.real = block[:n].T
+    rows.imag = block[n:].T
+    return rows
+
+
+def _two_columns(a):
+    """a with its one column repeated, or a itself when it has more.
+
+    numpy hands a one-column product to BLAS gemv, which rounds unlike the
+    gemm of wider blocks; two identical columns keep B = 1 on gemm.
+    """
+    return np.repeat(a, 2, axis=-1) if a.shape[-1] == 1 else a
+
+
+def _real_op(op):
+    """The real (2n, 2n) matrix acting on [Re psi; Im psi] as the complex op acts on psi."""
+    r, s = op.real, op.imag
+    return np.block([[r, -s], [s, r]])
+
+
+def _real_bras(vectors):
+    """Rows giving Re <v|psi> for each row v of `vectors`, then each Im <v|psi>, on [Re psi; Im psi]."""
+    b = vectors.conj()
+    return np.concatenate((np.hstack((b.real, -b.imag)), np.hstack((b.imag, b.real))))
 
 
 class _Stepper:
     """Batched Euler-Maruyama kernel; states() iterates step() over a run, yielding each state.
 
-    States are rows of a contiguous (B, n) array. Each step is one matmul,
-    P = psi @ W, against an operator block W built once per stepper. With
-    A = I - (i dt/hbar) H0 - k dt X^2 and t the target, its column blocks are
+    A batch is one C-contiguous real block F of shape (2n, B): rows
+    Re psi_1 .. Re psi_n, Im psi_1 .. Im psi_n, one trajectory per column.
+    Each step is one matmul, P = W F, against a real (K, 2n) operator stack
+    W built once per stepper. With A = I - (i dt/hbar) H0 - k dt X^2, t the
+    target and c = -i dt/hbar, its row blocks are
 
-        A^T | X^T | c H_1^T ... c H_m^T | conj(H_1 t) ... conj(H_m t) | conj(t)
+        A | X | c H_1 ... c H_m | <t|H_1| ... <t|H_m| <t|
 
-    where c = -i dt/hbar, so the slices of each row of P hold A psi, X psi,
-    every c H_k psi, every <t|H_k|psi> and <t|psi>. Expanding
-    (X - <X>)^2 psi over those slices, the raw update is
+    each complex operator M written as [[Re M, -Im M], [Im M, Re M]] (2n
+    rows) and the m + 1 bras as m + 1 rows of real parts above m + 1 rows
+    of imaginary parts, so the rows of P hold A psi, X psi, every
+    c H_k psi, every <t|H_k|psi> and <t|psi>, each with its real part
+    above its imaginary part. Expanding (X - <X>)^2 psi over those rows,
+    the raw update is
 
         A psi + (2 k dt <X> + sqrt(2 k) dW) X psi
               - (k dt <X> + sqrt(2 k) dW) <X> psi + sum_k u_k c H_k psi,
 
     which is psi + drift dt + diffusion dW with the feedback held at its
-    pre-step value. Past the matmul, every quantity of row i is an
-    elementwise function of row i alone, computed on real views of the
-    complex arrays, so a row's numbers do not depend on the batch around it.
+    pre-step value. Past the matmul every op runs on contiguous length-B
+    rows, sums over components are sequential np.add.reduce over axis 0,
+    and every quantity of column j is an elementwise function of column j
+    alone, so a trajectory's numbers do not depend on the batch around it.
     """
 
     def __init__(self, model, law, dt):
@@ -167,95 +211,95 @@ class _Stepper:
         self.k_dt = model.measurement_strength * float(dt)
         a = np.eye(n) + c * model.free_hamiltonian - self.k_dt * (x @ x)
         self.w = np.concatenate(
-            [a.T, x.T]
-            + [c * hk.T for hk in model.controls]
-            + [(hk @ model.target).conj()[:, None] for hk in model.controls]
-            + [model.target.conj()[:, None]],
-            axis=1,
+            [_real_op(a), _real_op(x)]
+            + [_real_op(c * hk) for hk in model.controls]
+            + [_real_bras(np.array([hk @ model.target for hk in model.controls] + [model.target]))]
         )
-        self.ctrl_cols = [slice((2 + j) * n, (3 + j) * n) for j in range(m)]
-        self.inner_cols = slice((2 + m) * n, (2 + m) * n + m)
-        self.gains = np.asarray(law.gains, dtype=float)
+        self.x_rows = slice(2 * n, 4 * n)
+        self.ctrl_rows = [slice((2 + j) * 2 * n, (3 + j) * 2 * n) for j in range(m)]
+        bras = (2 + m) * 2 * n  # Re <t|H_k|psi>, Re <t|psi>, Im <t|H_k|psi>, Im <t|psi>
+        self.overlap_re = bras + m
+        self.inner_re, self.inner_im = slice(bras, bras + m), slice(bras + m + 1, bras + 2 * m + 1)
+        self.gains = np.asarray(law.gains, dtype=float)[:, None]
         self.phase_tol = law.phase_tol
         self.sqrt2k = np.sqrt(2.0 * model.measurement_strength)
 
-    def diagnostics(self, psi):
-        """(fidelity, x_mean, u, P) of each row, with u the feedback amplitudes and P = psi @ W."""
-        if psi.shape[0] == 1:
-            # numpy hands a one-row product to BLAS gemv, which rounds unlike
-            # the gemm of wider batches; two rows keep B = 1 on gemm too
-            p = (np.concatenate((psi, psi)) @ self.w)[:1]
-        else:
-            p = psi @ self.w
-        n = self.model.n
-        overlap = p[:, -1]  # <target|psi> per row
-        a, b = overlap.real, overlap.imag
+    def diagnostics(self, f):
+        """(fidelity, x_mean, u, P) of each column, with u the (m, B) feedback amplitudes and P = W F."""
+        p = np.matmul(self.w, f)
+        a, b = p[self.overlap_re], p[-1]  # Re and Im of <target|psi>
         fid = a * a + b * b
-        x_mean = np.einsum("ij,ij->i", psi.view(np.float64), p[:, n : 2 * n].view(np.float64))
+        x_mean = np.add.reduce(f * p[self.x_rows], axis=0)
         if not self.model.m:
-            return fid, x_mean, np.zeros((psi.shape[0], 0)), p
-        # u_k = gains_k Im(phase <t|H_k|psi>), phase = conj(overlap) / |overlap|,
-        # or phase = 1 where |overlap| < phase_tol (phase lock)
-        phase_re, phase_im, mag = a, -b, np.sqrt(fid)
-        locked = mag < self.phase_tol
-        if locked.any():
-            phase_re = np.where(locked, 1.0, phase_re)
-            phase_im = np.where(locked, 0.0, phase_im)
+            return fid, x_mean, np.zeros((0, f.shape[1])), p
+        # u_k = gains_k Im(phase <t|H_k|psi>) with phase = (a - i b) / mag, mag = |<t|psi>|,
+        # or phase = 1 where mag < phase_tol (phase lock)
+        mag = np.sqrt(fid)
+        if mag.min(initial=np.inf) < self.phase_tol:  # an empty batch has no minimum
+            locked = mag < self.phase_tol
+            a = np.where(locked, 1.0, a)
+            b = np.where(locked, 0.0, b)
             mag = np.where(locked, 1.0, mag)
-        inner = p[:, self.inner_cols]
-        im = phase_re[:, None] * inner.imag + phase_im[:, None] * inner.real
-        u = self.gains * (im / mag[:, None])
-        return fid, x_mean, u, p
+        im = a * p[self.inner_im]
+        im -= b * p[self.inner_re]
+        im /= mag
+        return fid, x_mean, self.gains * im, p
 
-    def step(self, psi, dw):
-        """One EM step for every row. Returns (psi_next, fid, x_mean, u, norms, ok).
+    def step(self, f, dw):
+        """One EM step for every column. Returns (f_next, fid, x_mean, u, norms, ok).
 
-        Rows whose raw update norm falls below NORM_COLLAPSE_TOL are left at
-        their pre-step value (normalized) and flagged through `ok`; the
+        Columns whose raw update norm falls below NORM_COLLAPSE_TOL are left
+        at their pre-step value (normalized) and flagged through `ok`; the
         caller decides whether to raise or mask.
         """
-        fid, x_mean, u, p = self.diagnostics(psi)
-        n = self.model.n
+        fid, x_mean, u, p = self.diagnostics(f)
         noise = self.sqrt2k * dw
         c_x = 2.0 * self.k_dt * x_mean + noise
         c_psi = (self.k_dt * x_mean + noise) * x_mean
-        raw = np.empty_like(psi)
-        f = raw.view(np.float64)
-        np.multiply(c_x[:, None], p[:, n : 2 * n].view(np.float64), out=f)
-        f += p[:, :n].view(np.float64)
-        f -= c_psi[:, None] * psi.view(np.float64)
-        for j, cols in enumerate(self.ctrl_cols):
-            f += u[:, j, None] * p[:, cols].view(np.float64)
-        norms = _row_norms(raw)
+        raw = c_x * p[self.x_rows]
+        raw += p[: f.shape[0]]
+        raw -= c_psi * f
+        for u_j, rows in zip(u, self.ctrl_rows):
+            raw += u_j * p[rows]
+        norms = np.sqrt(np.add.reduce(raw * raw, axis=0))
         ok = norms >= NORM_COLLAPSE_TOL
         scale = norms
         if not ok.all():
-            raw = np.where(ok[:, None], raw, psi)
-            scale = np.where(ok, norms, _row_norms(psi))
-        f = raw.view(np.float64)
-        f /= scale[:, None]
+            raw = np.where(ok, raw, f)
+            scale = np.where(ok, norms, np.sqrt(np.add.reduce(f * f, axis=0)))
+        raw /= scale
         return raw, fid, x_mean, u, norms, ok
 
-    def states(self, psi0_rows, blocks):
-        """Propagate rows through the increment blocks in turn, yielding each state.
+    def states(self, f0, blocks):
+        """Propagate the columns of the block f0 through the increment blocks, yielding each state.
 
         blocks is an iterable of (B, s) increment arrays, one column per
         step; `steps` is the total of their widths. Yields
-        (i, psi, fid, x_mean, u, norms, ok) for i = 0 .. steps: the rows at
-        step i with their diagnostics and, for i < steps, that step's raw
-        update norms and non-collapse flags. At i = steps (the final state)
-        norms and ok are None.
+        (i, F, fid, x_mean, u, norms, ok) for i = 0 .. steps: the (2n, B)
+        block at step i with its diagnostics and, for i < steps, that
+        step's raw update norms and non-collapse flags. At i = steps (the
+        final state) norms and ok are None. A one-column batch is stepped
+        as two identical columns (see _two_columns), and the copy is never
+        yielded.
         """
-        psi = np.array(psi0_rows, dtype=np.complex128, order="C")
+        cols = slice(0, f0.shape[1])
+        f = _two_columns(np.array(f0, dtype=np.float64, order="C"))
         i = 0
         for block in blocks:
-            for dw in block.T:
-                psi_next, fid, x_mean, u, norms, ok = self.step(psi, dw)
-                yield i, psi, fid, x_mean, u, norms, ok
-                psi = psi_next
+            for dw in _two_columns(np.asarray(block).T):
+                f_next, fid, x_mean, u, norms, ok = self.step(f, dw)
+                yield i, f[:, cols], fid[cols], x_mean[cols], u[:, cols], norms[cols], ok[cols]
+                f = f_next
                 i += 1
-        fid, x_mean, u, _ = self.diagnostics(psi)
-        yield i, psi, fid, x_mean, u, None, None
+        fid, x_mean, u, _ = self.diagnostics(f)
+        yield i, f[:, cols], fid[cols], x_mean[cols], u[:, cols], None, None
+
+
+def _require_finite_increments(values, name):
+    """Raise ValidationError naming the first non-finite entry of the 1-D array `values`."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(f"{name}[{bad[0]}] must be finite, got {values[bad[0]]}")
 
 
 def euler_maruyama_step(model, law, state, dt, dw):
@@ -266,25 +310,29 @@ def euler_maruyama_step(model, law, state, dt, dw):
     the sphere's neighborhood and the run is invalid).
     """
     psi = require_state_vector(state)
+    if not np.isfinite(np.asarray(dw, dtype=float)).all():
+        raise ValidationError(f"dw must be finite, got {dw}")
     return euler_maruyama_step_many(model, law, psi[None, :], dt, [dw])[0]
 
 
 def euler_maruyama_step_many(model, law, states, dt, dws):
     """Vectorized euler_maruyama_step over rows of `states` with per-row increments."""
-    psi = np.ascontiguousarray(states, dtype=np.complex128)
+    psi = np.asarray(states, dtype=np.complex128)
     if psi.ndim != 2 or psi.shape[1] != model.n:
         raise ValidationError(f"states must have shape (B, {model.n}), got {psi.shape}")
     dws = np.asarray(dws, dtype=float)
     if dws.shape != (psi.shape[0],):
         raise ValidationError("dws must have one increment per state row")
+    _require_finite_increments(dws, "dws")
     stepper = _Stepper(model, law, dt)
-    rows, _, _, _, norms, ok = stepper.step(psi, dws)
+    b = psi.shape[0]
+    f, _, _, _, norms, ok = stepper.step(_two_columns(_to_block(psi)), _two_columns(dws))
     if not ok.all():
         bad = int(np.argmin(ok))
         raise IntegrationError(
             f"state norm collapsed to {norms[bad]:.3g} in one step (row {bad})"
         )
-    return rows
+    return _to_rows(f[:, :b])
 
 
 @dataclass(frozen=True)
@@ -344,19 +392,20 @@ def simulate_trajectory(model, law, psi0, dt, t_final, seed, increments=None):
         inc = np.asarray(increments, dtype=float)
         if inc.shape != (steps,):
             raise ValidationError(f"increments shape {inc.shape} does not match {steps} steps")
+        _require_finite_increments(inc, "increments")
 
-    states = np.empty((steps + 1, model.n), dtype=np.complex128)
+    states = np.empty((steps + 1, 2 * model.n))
     fid = np.empty(steps + 1)
     x_mean = np.empty(steps + 1)
     controls = np.empty((steps, model.m))
 
     stepper = _Stepper(model, law, dt)
-    for i, psi, f, x, u, norms, ok in stepper.states(psi0[None, :], [inc[None, :]]):
-        states[i] = psi[0]
-        fid[i] = f[0]
+    for i, f, fi, x, u, norms, ok in stepper.states(_to_block(psi0[None, :]), [inc[None, :]]):
+        states[i] = f[:, 0]
+        fid[i] = fi[0]
         x_mean[i] = x[0]
         if i < steps:
-            controls[i] = u[0]
+            controls[i] = u[:, 0]
             if not ok[0]:
                 raise IntegrationError(
                     f"state norm collapsed to {norms[0]:.3g} at step {i} (t = {i * dt:.6g})"
@@ -364,7 +413,7 @@ def simulate_trajectory(model, law, psi0, dt, t_final, seed, increments=None):
 
     return TrajectoryRecord(
         times=np.arange(steps + 1) * float(dt),
-        states=states,
+        states=_to_rows(states.T),
         lyapunov=0.5 * (1.0 - fid),
         fidelity=fid,
         observable_mean=x_mean,

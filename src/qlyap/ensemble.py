@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import lyapunov_value, min_lyapunov_at_distance
-from .dynamics import NOISE_BLOCK, _Stepper, _step_count, wiener_blocks
+from .dynamics import NOISE_BLOCK, _Stepper, _step_count, _to_block, wiener_blocks
 from .errors import ValidationError
 from .quantum import equivalence_distance, normalize, orthonormal_completion, require_state_vector
 
@@ -111,7 +111,7 @@ def _run_chunk(stepper, psi0, seeds, steps, dt, rec_idx, r_thresh):
     mags = np.empty((NOISE_BLOCK, b)) if r_thresh.size else None
     alive = np.ones(b, dtype=bool)
     rec = 0
-    for i, _, fid, x_mean, _, _, ok in stepper.states(np.tile(psi0, (b, 1)), blocks):
+    for i, _, fid, x_mean, _, _, ok in stepper.states(_to_block(np.tile(psi0, (b, 1))), blocks):
         if i == rec_idx[rec]:
             hist[:, :, rec] = 0.5 * (1.0 - fid), x_mean, fid
             rec += 1
@@ -316,11 +316,14 @@ def stability_bound_test(
     grow monotonically with the perturbation size (within the combined
     N_SIGMA band), so they vanish as the perturbation does.
     """
+    sizes = [float(size) for size in perturbation_sizes]
+    for i, size in enumerate(sizes):
+        if not 0.0 <= size < np.inf:
+            raise ValidationError(f"perturbation_sizes[{i}] must be finite and >= 0, got {size}")
     direction = 1j * orthonormal_completion(model.target)[:, 1]
     floor = min_lyapunov_at_distance(radius)
     rows = []
-    for i, size in enumerate(perturbation_sizes):
-        size = float(size)
+    for i, size in enumerate(sizes):
         psi0 = normalize(model.target + size * direction) if size else model.target.copy()
         v0 = lyapunov_value(psi0, model.target)
         summary = run_ensemble(

@@ -29,6 +29,7 @@ from .model import ControlLaw, SystemModel
 from .quantum import require_state_vector
 
 DEFAULT_R_LIST = (0.3, 0.5, 1.0)
+CSV_BLOCK_ROWS = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -261,8 +262,14 @@ def write_trajectory_csv(path, record, model, law):
             states.view(np.float64),  # re, im of each component side by side
         ]
     )
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        np.savetxt(handle, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+        handle.write(",".join(header) + "\n")
+        # one % format per block of rows: as fast as one for the whole
+        # table, without holding every value as a Python float at once
+        for lo in range(0, table.shape[0], CSV_BLOCK_ROWS):
+            rows = table[lo : lo + CSV_BLOCK_ROWS]
+            handle.write((row_fmt * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 # Where a report's JSON differs from its dataclass fields: each entry maps

@@ -30,12 +30,18 @@ report, probe and stability files, and any change to the chunk reduction
 moves the ensemble and report files. The sweep moves only with the
 invariant-set analysis, and the definitions only with the definition
 format. Regenerate only on purpose, and record in CHANGES.md why and how
-far the values moved.
+far the values moved: for every file it rewrites, the script prints the
+largest absolute change of a float against the file it replaces and
+whether every discrete field (exit times, exceedance probabilities,
+histogram counts, excluded seeds, dimension counts, and any integer,
+boolean, string or null) is unchanged.
 """
 
 import contextlib
 import dataclasses
 import io
+import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -122,21 +128,80 @@ ENCODINGS = {
 }
 
 
-def main():
+# report keys whose values are counts or events, compared exactly
+DISCRETE_KEYS = {
+    "first_exit_times",
+    "sup_distance_exceed_prob",
+    "counts",
+    "excluded_seeds",
+    "dimension_counts",
+}
+
+
+def _json_moves(old, new, path="", discrete=False):
+    """(largest float change, paths of changed discrete fields) between two JSON values."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        parts = [
+            _json_moves(old[k], new[k], f"{path}.{k}", discrete or k in DISCRETE_KEYS) for k in old
+        ]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        parts = [_json_moves(a, b, f"{path}[{i}]", discrete) for i, (a, b) in enumerate(zip(old, new))]
+    elif not discrete and type(old) is float and type(new) is float:
+        return abs(new - old), []
+    else:
+        return 0.0, [] if old == new and type(old) is type(new) else [path or "."]
+    return max((d for d, _ in parts), default=0.0), [p for _, moved in parts for p in moved]
+
+
+def _csv_moves(old, new):
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if old_lines[:1] != new_lines[:1] or len(old_lines) != len(new_lines):
+        return math.nan, ["header or row count"]
+    a = np.array([[float(v) for v in line.split(",")] for line in old_lines[1:]])
+    b = np.array([[float(v) for v in line.split(",")] for line in new_lines[1:]])
+    return float(np.max(np.abs(a - b), initial=0.0)), []
+
+
+def _moved(path, old):
+    """One line on how far the rewritten file at `path` moved from the bytes `old`."""
+    if old is None:
+        return "new file"
+    new = path.read_bytes()
+    if new == old:
+        return "bytes unchanged"
+    if path.suffix == ".csv":
+        delta, moved = _csv_moves(old.decode(), new.decode())
+    else:
+        delta, moved = _json_moves(json.loads(old), json.loads(new))
+    discrete = f"discrete fields CHANGED at {', '.join(moved)}" if moved else "discrete fields unchanged"
+    return f"max |float change| {delta:.3g}; {discrete}"
+
+
+def write_trajectory(path):
     model, law, params = bundled_fixture("qubit")
     record = simulate_trajectory(model, law, params.initial_state, 0.01, 2.0, seed=7)
-    write_trajectory_csv(GOLDEN, record, model, law)
-    print(f"wrote {GOLDEN}")
+    write_trajectory_csv(path, record, model, law)
+
+
+def write_ensemble(path):
+    model, law, params = bundled_fixture("qubit")
     summary = run_ensemble(
         model, law, params.initial_state, params.dt, 0.5, 600, params.seed, r_list=params.r_list
     )
-    write_report_json(GOLDEN_ENSEMBLE, summary)
-    print(f"wrote {GOLDEN_ENSEMBLE}")
-    write_report_json(GOLDEN_SWEEP, invariant_set_sweep(four_level_deficient_model(), grid_points=10))
-    print(f"wrote {GOLDEN_SWEEP}")
-    for name, write in ENCODINGS.items():
-        write(HERE / name)
-        print(f"wrote {HERE / name}")
+    write_report_json(path, summary)
+
+
+def write_sweep(path):
+    write_report_json(path, invariant_set_sweep(four_level_deficient_model(), grid_points=10))
+
+
+def main():
+    writers = {GOLDEN: write_trajectory, GOLDEN_ENSEMBLE: write_ensemble, GOLDEN_SWEEP: write_sweep}
+    writers.update((HERE / name, write) for name, write in ENCODINGS.items())
+    for path, write in writers.items():
+        old = path.read_bytes() if path.exists() else None
+        write(path)
+        print(f"wrote {path}: {_moved(path, old)}")
 
 
 if __name__ == "__main__":

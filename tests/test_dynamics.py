@@ -21,6 +21,8 @@ from qlyap.dynamics import (
     NORM_COLLAPSE_TOL,
     _step_count,
     _Stepper,
+    _to_block,
+    _to_rows,
     diffusion,
     drift,
     euler_maruyama_step,
@@ -212,6 +214,21 @@ def test_non_finite_times_rejected(dt, t_final):
             WienerPath.generate(1, 10, dt)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_increments_rejected(bad):
+    # a non-finite dW used to surface as a numpy RuntimeWarning or as a norm collapse
+    model = qubit_model()
+    law = ControlLaw(gains=(1.0,))
+    inc = np.zeros(10)
+    inc[3] = bad
+    with pytest.raises(ValidationError, match=r"increments\[3\] must be finite"):
+        simulate_trajectory(model, law, QUBIT_PSI0, 0.01, 0.1, 1, increments=inc)
+    with pytest.raises(ValidationError, match="dw must be finite"):
+        euler_maruyama_step(model, law, QUBIT_PSI0, 0.01, bad)
+    with pytest.raises(ValidationError, match=r"dws\[1\] must be finite"):
+        euler_maruyama_step_many(model, law, np.stack([QUBIT_PSI0] * 3), 0.01, [0.0, bad, 0.0])
+
+
 def test_step_count_refuses_more_than_max_steps():
     assert _step_count(1e-6, 10.0) == MAX_STEPS
     for dt, t_final in ((1e-300, 10.0), (0.001, 1e300), (5e-324, 1e300)):
@@ -299,13 +316,22 @@ def test_collapsed_row_is_named_and_kept_at_its_pre_step_value():
     dt = 1.0 - 1e-7
     with pytest.raises(IntegrationError, match=r"\(row 2\)"):
         euler_maruyama_step_many(model, law, states, dt, dws)
-    rows, _, _, _, norms, ok = _Stepper(model, law, dt).step(states, dws)
+    block, _, _, _, norms, ok = _Stepper(model, law, dt).step(_to_block(states), dws)
     assert ok.tolist() == [True, True, False, True]
     assert norms[2] < NORM_COLLAPSE_TOL
-    assert np.max(np.abs(rows[2] - np.array([1.0, 1.0]) / np.sqrt(2.0))) < 1e-15
-    # the other rows come out exactly as they do in a batch without a collapse
-    clean = _Stepper(model, law, dt).step(states[[0, 1, 3]], dws[[0, 1, 3]])[0]
-    assert np.array_equal(rows[[0, 1, 3]], clean)
+    assert np.max(np.abs(_to_rows(block)[2] - np.array([1.0, 1.0]) / np.sqrt(2.0))) < 1e-15
+    # the other columns come out exactly as they do in a batch without a collapse
+    clean = _Stepper(model, law, dt).step(_to_block(states[[0, 1, 3]]), dws[[0, 1, 3]])[0]
+    assert np.array_equal(block[:, [0, 1, 3]], clean)
+
+
+def test_block_layout_round_trips():
+    rng = np.random.default_rng(309)
+    rows = np.stack([random_state(rng, 3) for _ in range(5)])
+    block = _to_block(rows)
+    assert block.shape == (6, 5) and block.flags.c_contiguous
+    assert np.array_equal(block[:3], rows.real.T) and np.array_equal(block[3:], rows.imag.T)
+    assert np.array_equal(_to_rows(block), rows)
 
 
 @pytest.mark.parametrize("system", ["qubit", "qutrit", "four_level"])
@@ -315,9 +341,10 @@ def test_rows_do_not_depend_on_batch_width(request, system):
     psi0 = np.stack([random_state(rng, model.n) for _ in range(600)])
     # two starts orthogonal to the target put the phase-lock branch in some slices
     psi0[[5, 400]] = orthonormal_completion(model.target)[:, 1]
+    f0 = _to_block(psi0)
     increments = rng.normal(0.0, np.sqrt(1e-3), (600, 25))
     stepper = _Stepper(model, law, 1e-3)
-    whole = list(stepper.states(psi0, [increments]))
+    whole = list(stepper.states(f0, [increments]))
     assert [item[0] for item in whole] == list(range(26))
     assert whole[-1][5] is None and whole[-1][6] is None
     # time blocks: one, two uneven ones, and one per step
@@ -328,16 +355,35 @@ def test_rows_do_not_depend_on_batch_width(request, system):
             for lo in range(0, 600, width):
                 rows = increments[lo : lo + width]
                 blocks = [rows[:, a:b] for a, b in zip(cut, cut[1:])]
-                parts.append(list(stepper.states(psi0[lo : lo + width], blocks)))
-            # every yielded state, final one included: i, psi, fid, x_mean, u, norms, ok
+                parts.append(list(stepper.states(f0[:, lo : lo + width], blocks)))
+            # every yielded state, final one included: i, F, fid, x_mean, u, norms, ok,
+            # each with the trajectories along its last (batch) axis
             for i, full in enumerate(whole):
                 assert all(part[i][0] == i for part in parts)
                 for k in range(1, 5 if full[5] is None else 7):
-                    sliced = np.concatenate([part[i][k] for part in parts])
+                    sliced = np.concatenate([part[i][k] for part in parts], axis=-1)
                     assert np.array_equal(full[k], sliced), (width, len(cut) - 1, i, k)
     # no blocks at all is a run of zero steps: the start state alone
-    ((i, psi, *_, norms, ok),) = stepper.states(psi0[:3], [])
-    assert i == 0 and np.array_equal(psi, psi0[:3]) and norms is None and ok is None
+    ((i, f, *_, norms, ok),) = stepper.states(f0[:, :3], [])
+    assert i == 0 and np.array_equal(f, f0[:, :3]) and norms is None and ok is None
+
+
+@pytest.mark.parametrize("system", ["qubit", "qutrit", "four_level"])
+def test_simulate_matches_batch_columns_bit_for_bit(request, system):
+    # docs/formats.md: a `simulate` trajectory matches the same seed's column of an ensemble batch
+    model, law = request.getfixturevalue(system)
+    psi0 = normalize(np.arange(1.0, model.n + 1.0) + 0.5j)
+    dt, steps, first = 1e-3, 300, 50
+    seeds = range(first, first + 300)
+    f0 = _to_block(np.tile(psi0, (len(seeds), 1)))
+    batch = list(_Stepper(model, law, dt).states(f0, wiener_blocks(seeds, steps, dt)))
+    for col, seed in enumerate(seeds[:5]):
+        rec = simulate_trajectory(model, law, psi0, dt, steps * dt, seed)
+        assert rec.steps == steps
+        assert np.array_equal(rec.states, _to_rows(np.stack([item[1][:, col] for item in batch]).T))
+        assert np.array_equal(rec.fidelity, [item[2][col] for item in batch])
+        assert np.array_equal(rec.observable_mean, [item[3][col] for item in batch])
+        assert np.array_equal(rec.controls_applied, [item[4][:, col] for item in batch[:-1]])
 
 
 def test_em_step_many_matches_single_steps():

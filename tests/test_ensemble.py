@@ -200,7 +200,7 @@ def test_noise_is_streamed_not_held_whole():
 
 
 class _SteplessStepper(_Stepper):
-    def step(self, psi, dw):
+    def step(self, f, dw):
         raise AssertionError("stepped")
 
 
@@ -211,23 +211,23 @@ def test_negative_base_seed_raises_before_stepping(monkeypatch):
 
 
 class _FlakyStepper(_Stepper):
-    """Marks fixed rows of every batch dead at every step."""
+    """Marks fixed columns (trajectories) of every batch block dead at every step."""
 
-    dead_rows = ()
+    dead_columns = ()
 
-    def step(self, psi, dw):
-        psi_next, fid, x_mean, u, norms, ok = super().step(psi, dw)
+    def step(self, f, dw):
+        f_next, fid, x_mean, u, norms, ok = super().step(f, dw)
         ok = ok.copy()
-        for row in type(self).dead_rows:
-            if row < len(ok):
-                ok[row] = False
-        return psi_next, fid, x_mean, u, norms, ok
+        for col in type(self).dead_columns:
+            if col < len(ok):
+                ok[col] = False
+        return f_next, fid, x_mean, u, norms, ok
 
 
 def test_failed_trajectories_are_excluded(monkeypatch):
     model = qubit_model()
     law = ControlLaw(gains=(1.0,))
-    monkeypatch.setattr(_FlakyStepper, "dead_rows", (1,))
+    monkeypatch.setattr(_FlakyStepper, "dead_columns", (1,))
     monkeypatch.setattr(ensemble_mod, "_Stepper", _FlakyStepper)
     summary = run_ensemble(
         model, law, QUBIT_PSI0, 0.001, 0.1, trials=5, base_seed=40, record_stride=1
@@ -250,7 +250,7 @@ def test_failed_trajectories_are_excluded(monkeypatch):
 def test_all_failed_raises(monkeypatch):
     model = qubit_model()
     law = ControlLaw(gains=(1.0,))
-    monkeypatch.setattr(_FlakyStepper, "dead_rows", (0, 1, 2))
+    monkeypatch.setattr(_FlakyStepper, "dead_columns", (0, 1, 2))
     monkeypatch.setattr(ensemble_mod, "_Stepper", _FlakyStepper)
     with pytest.raises(ValidationError, match="every trajectory"):
         run_ensemble(model, law, QUBIT_PSI0, 0.001, 0.01, trials=3, base_seed=0)
@@ -359,6 +359,19 @@ def test_stability_bound_report():
         assert row.empirical_p <= row.bound + 3.0 * row.stderr + 1e-12
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_stability_bound_test_rejects_bad_perturbation_sizes(monkeypatch, bad):
+    # rejected before any row runs and before normalize, which warned on NaN and inf
+    # (the suite turns a RuntimeWarning into an error)
+    monkeypatch.setattr(ensemble_mod, "_Stepper", _SteplessStepper)
+    for sizes in ((bad,), (0.1, bad)):
+        with pytest.raises(ValidationError, match=rf"perturbation_sizes\[{len(sizes) - 1}\]"):
+            stability_bound_test(
+                qubit_model(), ControlLaw(gains=(1.0,)), 0.5, sizes, 4,
+                dt=0.01, t_final=0.1, base_seed=0,
+            )
+
+
 def test_invariance_probe_flags():
     # the free phase drift at the qubit antipode leaks through the phase
     # tie-break and switches the control on, so the state escapes
@@ -416,9 +429,10 @@ def test_invariance_probe_rejects_bad_candidate():
 def test_invariance_probe_names_collapsed_candidate(monkeypatch):
     model = qubit_model()
     law = ControlLaw(gains=(1.0,))
-    monkeypatch.setattr(_FlakyStepper, "dead_rows", (1,))
+    monkeypatch.setattr(_FlakyStepper, "dead_columns", (1,))
     monkeypatch.setattr(ensemble_mod, "_Stepper", _FlakyStepper)
-    # one trial per candidate never reaches row 1; two trials do
+    # one trial per candidate never reaches column 1 (a one-column batch is stepped
+    # as two copies, and only the first is yielded); two trials do
     (probe,) = invariance_probe(
         model, law, [model.target], dt=0.002, t_probe=0.1, trials=1, base_seed=0
     )
