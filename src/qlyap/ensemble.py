@@ -7,22 +7,22 @@ rows, in seed order, so every statistic is fixed by the inputs alone: a
 trajectory's numbers do not depend on which batch it falls into, and the
 blocks, hence every sum, do not depend on the batch width.
 
-Every tool makes one batch pass, _run_chunk, which loops once over
-_Stepper.states, fed by streamed noise blocks, and reduces each block's
-surviving rows to sums; the ensemble and the probe differ only in the
-steps and radii it tracks.
+Every tool reaches the kernel through one driver, _run_trials, called
+once per ensemble, probe candidate or perturbation size. It walks the
+seeds batch by batch, loops once per batch over _Stepper.states, fed by
+streamed noise blocks, and reduces each block's surviving rows to sums;
+the tools differ only in the steps recorded and the radii tracked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .control import lyapunov_value, min_lyapunov_at_distance
 from .dynamics import NOISE_BLOCK, _Stepper, _step_count, _to_block, wiener_blocks
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 from .quantum import equivalence_distance, normalize, orthonormal_completion, require_state_vector
 
 CHUNK = 256
@@ -71,70 +71,56 @@ class EnsembleSummary:
         return self.trials - self.failures
 
 
-def _seed_chunks(first_seed, trials):
-    """Seeds first_seed, first_seed + 1, ... split into BATCH-wide ranges."""
-    return [
-        range(first_seed + lo, first_seed + min(lo + BATCH, trials))
-        for lo in range(0, trials, BATCH)
-    ]
+def _run_trials(stepper, psi0, base_seed, trials, steps, dt, rec_idx, radii):
+    """Run one trajectory from psi0 per seed base_seed, ..., base_seed + trials - 1.
 
-
-class _Chunk(NamedTuple):
-    """A batch reduced over its survivors, the rows that never collapsed.
-
-    sums and sums_sq are (blocks, 3, n_rec): one (3, n_rec) sum over V,
-    <X> and fidelity per CHUNK-row block of the batch, in seed order.
-    exit_steps has one row per radius, -1 where the radius was never
-    exceeded.
+    The seeds run in BATCH-wide ranges through `steps` steps. rec_idx lists
+    the recorded steps, ending at `steps`; radii lists the distances whose
+    first exceedance is tracked, possibly none. Returns, over all trials,
+    (alive, total, total_sq, final_fid, exit_steps):
+    - alive marks the rows that never collapsed, the survivors;
+    - total and total_sq are (3, len(rec_idx)) sums of V, <X> and fidelity
+      and of their squares over the survivors, added one CHUNK-row block
+      at a time in seed order;
+    - final_fid holds each row's fidelity at `steps`;
+    - exit_steps has one row per radius, -1 where it was never exceeded.
     """
-
-    seeds: range
-    alive: np.ndarray
-    sums: np.ndarray
-    sums_sq: np.ndarray
-    final_fid: np.ndarray
-    exit_steps: np.ndarray
-
-
-def _run_chunk(stepper, psi0, seeds, steps, dt, rec_idx, r_thresh):
-    """Run a trajectory from psi0 per seed through `steps` steps into a _Chunk.
-
-    rec_idx lists the recorded steps, ending at `steps`; r_thresh holds one
-    overlap-magnitude threshold per radius, possibly none.
-    """
-    b = len(seeds)
-    blocks = wiener_blocks(seeds, steps, dt)
-    hist = np.empty((3, b, len(rec_idx)))
-    exit_steps = np.full((len(r_thresh), b), -1, dtype=np.int64)
-    # overlap magnitudes of up to NOISE_BLOCK steps; first exits are
-    # resolved once per block of steps instead of at every step
-    mags = np.empty((NOISE_BLOCK, b)) if r_thresh.size else None
-    alive = np.ones(b, dtype=bool)
-    rec = 0
-    for i, _, fid, x_mean, _, _, ok in stepper.states(_to_block(np.tile(psi0, (b, 1))), blocks):
-        if i == rec_idx[rec]:
-            hist[:, :, rec] = 0.5 * (1.0 - fid), x_mean, fid
-            rec += 1
-        if mags is not None:
-            j = i % NOISE_BLOCK
-            np.sqrt(fid, out=mags[j])
-            if j == NOISE_BLOCK - 1 or i == steps:
-                _resolve_exits(exit_steps, mags[: j + 1], i - j, r_thresh)
-        if ok is not None:
-            alive &= ok
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    # exceedance in distance > R is overlap magnitude < 1 - R^2/2
+    r_thresh = np.array([1.0 - 0.5 * r * r for r in radii])
+    alive = np.ones(trials, dtype=bool)
+    final_fid = np.empty(trials)
+    exit_steps = np.full((r_thresh.size, trials), -1, dtype=np.int64)
     sums, sums_sq = [], []
-    for lo in range(0, b, CHUNK):
-        kept = hist[:, lo : lo + CHUNK][:, alive[lo : lo + CHUNK]]
-        sums.append(kept.sum(axis=1))
-        sums_sq.append((kept ** 2).sum(axis=1))
-    return _Chunk(
-        seeds=seeds,
-        alive=alive,
-        sums=np.stack(sums),
-        sums_sq=np.stack(sums_sq),
-        final_fid=hist[2, alive, -1],
-        exit_steps=exit_steps[:, alive],
-    )
+    for lo in range(0, trials, BATCH):
+        hi = min(lo + BATCH, trials)
+        blocks = wiener_blocks(range(base_seed + lo, base_seed + hi), steps, dt)
+        hist = np.empty((3, hi - lo, len(rec_idx)))
+        live, exits = alive[lo:hi], exit_steps[:, lo:hi]  # views: updates land in the full arrays
+        # overlap magnitudes of up to NOISE_BLOCK steps; first exits are
+        # resolved once per block of steps instead of at every step
+        mags = np.empty((NOISE_BLOCK, hi - lo)) if r_thresh.size else None
+        rec = 0
+        for i, _, fid, x_mean, _, _, ok in stepper.states(_to_block(np.tile(psi0, (hi - lo, 1))), blocks):
+            if i == rec_idx[rec]:
+                hist[:, :, rec] = 0.5 * (1.0 - fid), x_mean, fid
+                rec += 1
+            if mags is not None:
+                j = i % NOISE_BLOCK
+                np.sqrt(fid, out=mags[j])
+                if j == NOISE_BLOCK - 1 or i == steps:
+                    _resolve_exits(exits, mags[: j + 1], i - j, r_thresh)
+            if ok is not None:
+                live &= ok
+        final_fid[lo:hi] = hist[2, :, -1]
+        for c in range(0, hi - lo, CHUNK):
+            kept = hist[:, c : c + CHUNK][:, live[c : c + CHUNK]]
+            sums.append(kept.sum(axis=1))
+            sums_sq.append((kept ** 2).sum(axis=1))
+    if not alive.any():
+        raise ValidationError("every trajectory in the ensemble failed to integrate")
+    return alive, np.stack(sums).sum(axis=0), np.stack(sums_sq).sum(axis=0), final_fid, exit_steps
 
 
 def _resolve_exits(exit_steps, mags, first_step, r_thresh):
@@ -145,6 +131,13 @@ def _resolve_exits(exit_steps, mags, first_step, r_thresh):
     below = mags < r_thresh[:, None, None]  # (radii, steps, rows)
     newly = below.any(axis=1) & (exit_steps < 0)
     exit_steps[newly] = first_step + below.argmax(axis=1)[newly]
+
+
+def _require_start(vec, model, name):
+    psi = require_state_vector(vec, name)
+    if psi.size != model.n:
+        raise ValidationError(f"{name}: dimension {psi.size} does not match model dimension {model.n}")
+    return psi
 
 
 def _mean_stderr(total, total_sq, count):
@@ -175,11 +168,7 @@ def run_ensemble(
     exit times are tracked at every step regardless of the stride. The
     result is deterministic for fixed inputs.
     """
-    psi0 = require_state_vector(psi0, "psi0")
-    if psi0.size != model.n:
-        raise ValidationError(f"psi0 dimension {psi0.size} does not match model dimension {model.n}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    psi0 = _require_start(psi0, model, "psi0")
     steps = _step_count(dt, t_final)
 
     if record_stride is None:
@@ -196,32 +185,17 @@ def run_ensemble(
     for k, r in enumerate(r_list):
         if not 0.0 < r < 2.0:
             raise ValidationError(f"r_list[{k}]: radii must lie in (0, 2), got {r}")
-    # exceedance in distance > R is overlap magnitude < 1 - R^2/2
-    r_thresh = np.array([1.0 - 0.5 * r * r for r in r_list])
-    stepper = _Stepper(model, law, dt)
-    chunks = [
-        _run_chunk(stepper, psi0, seeds, steps, dt, rec_idx, r_thresh)
-        for seeds in _seed_chunks(base_seed, trials)
-    ]
-
-    count = sum(int(c.alive.sum()) for c in chunks)
-    if count == 0:
-        raise ValidationError("every trajectory in the ensemble failed to integrate")
-    (mean_v, mean_x, mean_f), (se_v, se_x, se_f) = _mean_stderr(
-        np.concatenate([c.sums for c in chunks]).sum(axis=0),
-        np.concatenate([c.sums_sq for c in chunks]).sum(axis=0),
-        count,
+    alive, total, total_sq, final_fid, exit_steps = _run_trials(
+        _Stepper(model, law, dt), psi0, base_seed, trials, steps, dt, rec_idx, r_list
     )
-    exit_steps = np.concatenate([c.exit_steps for c in chunks], axis=1)
-    exit_times = np.where(exit_steps >= 0, exit_steps * dt, np.inf)
-    final_fid = np.concatenate([c.final_fid for c in chunks])
-    failed = [s for c in chunks for s, a in zip(c.seeds, c.alive) if not a]
-
-    exits = {r: exit_times[j].copy() for j, r in enumerate(r_list)}
+    (mean_v, mean_x, mean_f), (se_v, se_x, se_f) = _mean_stderr(total, total_sq, int(alive.sum()))
+    exit_steps = exit_steps[:, alive]
+    exits = dict(zip(r_list, np.where(exit_steps >= 0, exit_steps * dt, np.inf)))
     exceed = {r: float(np.mean(np.isfinite(times))) for r, times in exits.items()}
     # rounding can put a unit state's fidelity a few ulps above 1, and
     # np.histogram drops values outside its range
-    hist = np.histogram(np.clip(final_fid, 0.0, 1.0), bins=HIST_BINS, range=(0.0, 1.0))
+    hist = np.histogram(np.clip(final_fid[alive], 0.0, 1.0), bins=HIST_BINS, range=(0.0, 1.0))
+    failed = [int(base_seed) + int(i) for i in np.flatnonzero(~alive)]
 
     return EnsembleSummary(
         trials=int(trials),
@@ -257,9 +231,14 @@ def supermartingale_test(summary):
     for every consecutive pair. worst_violation_sigma reports the largest
     rise in units of the pair's standard error (inf when the rise exceeds
     V_ABS_TOL at zero stderr); a rise of at most V_ABS_TOL is rounding and
-    counts as 0 sigma.
+    counts as 0 sigma. A summary with fewer than two recorded times has no
+    pair to test and raises PreconditionError.
     """
     mean_v = np.asarray(summary.mean_V, dtype=float)
+    if mean_v.size < 2:
+        raise PreconditionError(
+            f"supermartingale_test needs at least two recorded times, got {mean_v.size}"
+        )
     se = np.asarray(summary.stderr_V, dtype=float)
     diffs = mean_v[1:] - mean_v[:-1]
     se_next = se[1:]
@@ -317,28 +296,24 @@ def stability_bound_test(
     N_SIGMA band), so they vanish as the perturbation does.
     """
     sizes = [float(size) for size in perturbation_sizes]
+    if not sizes:
+        raise ValidationError("perturbation_sizes must not be empty")
     for i, size in enumerate(sizes):
         if not 0.0 <= size < np.inf:
             raise ValidationError(f"perturbation_sizes[{i}] must be finite and >= 0, got {size}")
     direction = 1j * orthonormal_completion(model.target)[:, 1]
     floor = min_lyapunov_at_distance(radius)
+    steps = _step_count(dt, t_final)
+    stepper = _Stepper(model, law, dt)
     rows = []
     for i, size in enumerate(sizes):
         psi0 = normalize(model.target + size * direction) if size else model.target.copy()
         v0 = lyapunov_value(psi0, model.target)
-        summary = run_ensemble(
-            model,
-            law,
-            psi0,
-            dt,
-            t_final,
-            trials,
-            base_seed + i * trials,
-            r_list=(float(radius),),
-            max_recorded=2,
+        alive, _, _, _, exit_steps = _run_trials(
+            stepper, psi0, base_seed + i * trials, trials, steps, dt, [steps], (float(radius),)
         )
-        p = summary.sup_distance_exceed_prob[float(radius)]
-        stderr = float(np.sqrt(p * (1.0 - p) / summary.included))
+        p = float(np.mean(exit_steps[0, alive] >= 0))
+        stderr = float(np.sqrt(p * (1.0 - p) / int(alive.sum())))
         bound = v0 / floor
         rows.append(
             StabilityRow(
@@ -399,26 +374,19 @@ def invariance_probe(
     reported so escape from the target-orthogonal set can be gated on
     growth.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    starts = [_require_start(cand, model, f"candidates[{idx}]") for idx, cand in enumerate(candidates)]
     steps = _step_count(dt, t_probe)
     stepper = _Stepper(model, law, dt)
     results = []
-    for idx, cand in enumerate(candidates):
-        psi0 = require_state_vector(cand, f"candidates[{idx}]")
+    for idx, psi0 in enumerate(starts):
         v0 = lyapunov_value(psi0, model.target)
         d0 = equivalence_distance(psi0, model.target)
         f0 = float(abs(np.vdot(model.target, psi0)) ** 2)
-
-        fids = []
-        for seeds in _seed_chunks(base_seed + idx * trials, trials):
-            chunk = _run_chunk(stepper, psi0, seeds, steps, dt, [steps], np.empty(0))
-            if not chunk.alive.all():
-                raise ValidationError(
-                    f"candidates[{idx}]: probe trajectories failed to integrate"
-                )
-            fids.append(chunk.final_fid)
-        fid = np.concatenate(fids)
+        alive, _, _, fid, _ = _run_trials(
+            stepper, psi0, base_seed + idx * trials, trials, steps, dt, [steps], ()
+        )
+        if not alive.all():
+            raise ValidationError(f"candidates[{idx}]: probe trajectories failed to integrate")
         dist = np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(fid), 0.0))
         dv = 0.5 * (1.0 - fid) - v0
         dd = dist - d0

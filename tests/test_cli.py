@@ -211,6 +211,19 @@ def test_ensemble_trials_override(good_def, capsys):
     assert "6/6 trajectories" in capsys.readouterr().out
 
 
+def test_zero_length_ensemble_is_refused_not_passed(tmp_path, capsys):
+    # t_final 0 records one time and leaves the gate no pair to test
+    path = _write(
+        tmp_path, "zero.json", qubit_model(), ControlLaw(gains=(1.0,)),
+        t_final=0.0, initial_state=QUBIT_PSI0,
+    )
+    for command in ("ensemble", "report"):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("error:") and "two recorded times" in captured.err
+
+
 def test_invariant_set_output(good_def, capsys):
     assert main(["invariant-set", good_def, "--grid-points", "7"]) == 0
     text = capsys.readouterr().out

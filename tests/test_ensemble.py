@@ -9,6 +9,7 @@ import pytest
 import qlyap.ensemble as ensemble_mod
 from qlyap import (
     ControlLaw,
+    PreconditionError,
     ValidationError,
     bundled_fixture,
     invariance_probe,
@@ -19,6 +20,7 @@ from qlyap import (
     write_report_json,
 )
 from qlyap.dynamics import _Stepper
+from qlyap.quantum import normalize
 
 from conftest import QUBIT_PSI0, four_level_deficient_model, qubit_model, qutrit_model
 
@@ -140,19 +142,30 @@ def test_chunk_independence():
 
 def test_report_bytes_do_not_depend_on_batch_width(monkeypatch, tmp_path):
     # the reduction runs in fixed CHUNK-row blocks whatever the batch width,
-    # so every sum, and with it every byte of the report, stays the same
+    # so every sum, and with it every byte of the report, stays the same;
+    # the probe and the stability rows read the same driver's per-trial arrays
     model = qubit_model()
     law = ControlLaw(gains=(1.0,))
-    reports = set()
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    reports = {"ensemble": set(), "probe": set(), "stability": set()}
     for batch in (256, 512, 1024):
         monkeypatch.setattr(ensemble_mod, "BATCH", batch)
-        summary = run_ensemble(
-            model, law, QUBIT_PSI0, 0.004, 0.4, trials=600, base_seed=31, record_stride=7
-        )
-        path = tmp_path / f"report-{batch}.json"
-        write_report_json(path, summary)
-        reports.add(path.read_bytes())
-    assert len(reports) == 1
+        outputs = {
+            "ensemble": run_ensemble(
+                model, law, QUBIT_PSI0, 0.004, 0.4, trials=600, base_seed=31, record_stride=7
+            ),
+            "probe": invariance_probe(
+                model, law, [QUBIT_PSI0, e0], dt=0.004, t_probe=0.4, trials=600, base_seed=31
+            ),
+            "stability": stability_bound_test(
+                model, law, 0.5, (0.3, 0.6), 600, dt=0.004, t_final=0.4, base_seed=31
+            ),
+        }
+        for name, obj in outputs.items():
+            path = tmp_path / f"{name}-{batch}.json"
+            write_report_json(path, obj)
+            reports[name].add(path.read_bytes())
+    assert all(len(found) == 1 for found in reports.values()), reports
 
 
 @pytest.mark.parametrize("block", [7, ensemble_mod.NOISE_BLOCK])
@@ -246,6 +259,24 @@ def test_failed_trajectories_are_excluded(monkeypatch):
     counts, _ = summary.final_fidelity_histogram
     assert counts.sum() == 4
 
+    # a stability row counts its exceedances over the same four survivors,
+    # and its binomial stderr divides by 4, not by the 5 trials
+    radius = 0.5
+    report = stability_bound_test(
+        model, law, radius, (0.5,), 5, dt=0.001, t_final=0.1, base_seed=40
+    )
+    (row,) = report.rows
+    # the start stability_bound_test builds: the target plus 0.5i times its completion e0
+    psi0 = normalize(model.target + 0.5j * np.array([1.0, 0.0]))
+    exceeded = [
+        np.any(np.sqrt(simulate_trajectory(model, law, psi0, 0.001, 0.1, seed=s).fidelity)
+               < 1.0 - 0.5 * radius * radius)
+        for s in (40, 42, 43, 44)
+    ]
+    assert row.empirical_p == np.mean(exceeded)
+    assert 0.0 < row.empirical_p < 1.0
+    assert row.stderr == pytest.approx(np.sqrt(row.empirical_p * (1.0 - row.empirical_p) / 4))
+
 
 def test_all_failed_raises(monkeypatch):
     model = qubit_model()
@@ -259,9 +290,13 @@ def test_all_failed_raises(monkeypatch):
 def test_run_ensemble_input_validation():
     model = qubit_model()
     law = ControlLaw(gains=(1.0,))
-    with pytest.raises(ValidationError, match="trials"):
-        run_ensemble(model, law, QUBIT_PSI0, 0.001, 0.1, trials=0, base_seed=0)
-    with pytest.raises(ValidationError, match="dimension"):
+    # a float or a bool is refused, not truncated or run as one trial
+    for bad in (0, 2.5, 3.0, True, np.float64(2.0)):
+        with pytest.raises(ValidationError, match="trials must be an integer >= 1"):
+            run_ensemble(model, law, QUBIT_PSI0, 0.001, 0.1, trials=bad, base_seed=0)
+    summary = run_ensemble(model, law, QUBIT_PSI0, 0.001, 0.01, trials=np.int64(2), base_seed=0)
+    assert summary.trials == 2 and summary.included == 2
+    with pytest.raises(ValidationError, match=r"psi0: dimension 3 does not match"):
         run_ensemble(model, law, np.array([1.0, 0, 0]), 0.001, 0.1, trials=1, base_seed=0)
     with pytest.raises(ValidationError, match="record_stride"):
         run_ensemble(
@@ -333,6 +368,17 @@ def test_supermartingale_test_hand_cases():
     # a fall keeps its negative sigma
     assert supermartingale_test(fake([0.3, 0.28], [0.0, 0.01])).worst_violation_sigma == pytest.approx(-2.0)
 
+    # one recorded time has no pair to test: refused, not passed on no evidence
+    with pytest.raises(PreconditionError, match="at least two recorded times"):
+        supermartingale_test(fake([0.5], [0.0]))
+
+
+def test_supermartingale_test_refuses_zero_length_run():
+    summary = run_ensemble(qubit_model(), ControlLaw(gains=(1.0,)), QUBIT_PSI0, 0.001, 0.0, 4, 0)
+    assert summary.times.size == 1
+    with pytest.raises(PreconditionError, match="got 1"):
+        supermartingale_test(summary)
+
 
 def test_stability_bound_report():
     model = qubit_model()
@@ -370,6 +416,15 @@ def test_stability_bound_test_rejects_bad_perturbation_sizes(monkeypatch, bad):
                 qubit_model(), ControlLaw(gains=(1.0,)), 0.5, sizes, 4,
                 dt=0.01, t_final=0.1, base_seed=0,
             )
+    # no sizes would give no rows and a report that passes on no evidence
+    with pytest.raises(ValidationError, match="perturbation_sizes must not be empty"):
+        stability_bound_test(
+            qubit_model(), ControlLaw(gains=(1.0,)), 0.5, (), 4, dt=0.01, t_final=0.1, base_seed=0
+        )
+    with pytest.raises(ValidationError, match="trials must be an integer"):
+        stability_bound_test(
+            qubit_model(), ControlLaw(gains=(1.0,)), 0.5, (0.1,), 4.0, dt=0.01, t_final=0.1, base_seed=0
+        )
 
 
 def test_invariance_probe_flags():
@@ -413,16 +468,27 @@ def test_invariance_probe_finds_truly_stuck_state():
         assert abs(probe.mean_drift_fidelity) < 1e-12
 
 
-def test_invariance_probe_rejects_bad_candidate():
+def test_invariance_probe_rejects_bad_candidate(monkeypatch):
     model = qubit_model()
     law = ControlLaw(gains=(1.0,))
     with pytest.raises(ValidationError, match="candidates"):
         invariance_probe(
             model, law, [np.zeros(2)], dt=0.002, t_probe=0.1, trials=2, base_seed=0
         )
-    with pytest.raises(ValidationError, match="trials"):
+    for bad in (0, 2.5, False):
+        with pytest.raises(ValidationError, match="trials must be an integer >= 1"):
+            invariance_probe(
+                model, law, [model.target], dt=0.002, t_probe=0.1, trials=bad, base_seed=0
+            )
+    # a qubit state given to the qutrit is named, and refused before any candidate runs
+    monkeypatch.setattr(ensemble_mod, "_Stepper", _SteplessStepper)
+    qutrit = qutrit_model()
+    with pytest.raises(
+        ValidationError, match=r"candidates\[1\]: dimension 2 does not match model dimension 3"
+    ):
         invariance_probe(
-            model, law, [model.target], dt=0.002, t_probe=0.1, trials=0, base_seed=0
+            qutrit, ControlLaw(gains=(1.0, 1.0)), [qutrit.target, model.target],
+            dt=0.002, t_probe=0.1, trials=2, base_seed=0,
         )
 
 
