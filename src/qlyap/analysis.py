@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .quantum import eigenstate_eigenvalue, orthonormal_completion
+from .quantum import eigenstate_eigenvalue, orthonormal_completion, require_int
 
 RANK_TOL = 1e-9
 CLUSTER_REL_TOL = 1e-8
@@ -286,8 +286,7 @@ def invariant_set_sweep(model, grid_points=50):
     the same threshold. invariant_set_slice runs only twice: at the first
     node attaining the maximum and at the canonical shifts a.
     """
-    if grid_points < 2:
-        raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
+    grid_points = require_int(grid_points, "grid_points", 2)
     if model.m == 0:
         raise PreconditionError("invariant set sweep needs at least one control")
     if grid_points**model.m > MAX_SWEEP_NODES:

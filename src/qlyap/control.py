@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .quantum import as_complex_vector, eigenstate_eigenvalue
+from .quantum import as_complex_vector, eigenstate_eigenvalue, require_number
 
 
 def lyapunov_value(state, target):
@@ -35,7 +35,7 @@ def min_lyapunov_at_distance(radius):
     sqrt(2), so for larger R the set is empty and the floor is max V = 1/2
     (any exceedance probability is zero and the bound stays valid).
     """
-    r = float(radius)
+    r = require_number(radius, "radius")
     if not (0.0 < r < 2.0):
         raise PreconditionError(f"radius must lie in (0, 2), got {r}")
     if r * r >= 2.0:
@@ -77,9 +77,7 @@ def control_signals(model, law, state):
     locked region the signals are phase invariant.
     """
     law.require_matching(model)
-    psi = as_complex_vector(state)
-    if psi.size != model.n:
-        raise ValidationError(f"state dimension {psi.size} does not match model dimension {model.n}")
+    psi = model.as_state(state)
     overlap = complex(np.vdot(model.target, psi))
     p = _phase_factor(overlap, law.phase_tol)
     u = np.empty(model.m, dtype=float)
@@ -103,9 +101,7 @@ def lyapunov_generator(model, controls_now, state):
     noise = -sqrt(2 k) Re(<psi|t><t|(X - <X>)|psi>)
     with t the target and <X> taken at the current state.
     """
-    psi = as_complex_vector(state)
-    if psi.size != model.n:
-        raise ValidationError(f"state dimension {psi.size} does not match model dimension {model.n}")
+    psi = model.as_state(state)
     t = model.target
     k = model.measurement_strength
     h = model.hamiltonian(controls_now)
@@ -146,9 +142,7 @@ def closed_loop_generator(model, law, state):
     """
     _require_target_eigenstructure(model)
     law.require_matching(model)
-    psi = as_complex_vector(state)
-    if psi.size != model.n:
-        raise ValidationError(f"state dimension {psi.size} does not match model dimension {model.n}")
+    psi = model.as_state(state)
     overlap = complex(np.vdot(model.target, psi))
     p = _phase_factor(overlap, law.phase_tol)
     mag = abs(overlap)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, PreconditionError, ValidationError
-from .quantum import as_complex_vector, require_state_vector
+from .quantum import require_int, require_number, require_state_vector
 
 NORM_COLLAPSE_TOL = 1e-6
 NOISE_BLOCK = 256
@@ -46,17 +46,16 @@ def _rng(seed):
 
 
 def _require_dt(dt):
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValidationError(f"dt must be finite and > 0, got {dt}")
+    if require_number(dt, "dt") <= 0.0:
+        raise ValidationError(f"dt: must be > 0, got {dt}")
 
 
 def _require_noise_args(seeds, steps, dt):
+    """Check dt and every seed, and return steps as an int."""
     _require_dt(dt)
     for seed in seeds:
-        if seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {seed}")
-    if steps < 0:
-        raise ValidationError(f"steps must be >= 0, got {steps}")
+        require_int(seed, "seed")
+    return require_int(steps, "steps")
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,8 @@ class WienerPath:
 
     @classmethod
     def generate(cls, seed, steps, dt):
-        _require_noise_args((seed,), steps, dt)
-        inc = _rng(seed).normal(0.0, np.sqrt(dt), int(steps))
+        steps = _require_noise_args((seed,), steps, dt)
+        inc = _rng(seed).normal(0.0, np.sqrt(dt), steps)
         inc.setflags(write=False)
         return cls(seed=int(seed), dt=float(dt), increments=inc)
 
@@ -84,8 +83,8 @@ class WienerPath:
 
     def coarsen(self, factor):
         """Sum consecutive groups of `factor` increments (same Brownian path on a coarser grid)."""
-        factor = int(factor)
-        if factor < 1 or self.steps % factor:
+        factor = require_int(factor, "factor", 1)
+        if self.steps % factor:
             raise ValidationError(f"factor {factor} does not divide {self.steps} steps")
         summed = self.increments.reshape(-1, factor).sum(axis=1)
         summed.setflags(write=False)
@@ -101,8 +100,8 @@ def wiener_blocks(seeds, steps, dt):
     stream drawn in slices yields the same normals as one draw. The
     arguments are checked here, before any block is drawn.
     """
-    _require_noise_args(seeds, steps, dt)
-    return _wiener_blocks([_rng(seed) for seed in seeds], int(steps), np.sqrt(dt))
+    steps = _require_noise_args(seeds, steps, dt)
+    return _wiener_blocks([_rng(seed) for seed in seeds], steps, np.sqrt(dt))
 
 
 def _wiener_blocks(rngs, steps, scale):
@@ -115,9 +114,7 @@ def _wiener_blocks(rngs, steps, scale):
 
 def drift(model, controls_now, state):
     """Deterministic part of d|psi>/dt for the given control amplitudes."""
-    psi = as_complex_vector(state)
-    if psi.size != model.n:
-        raise ValidationError(f"state dimension {psi.size} does not match model dimension {model.n}")
+    psi = model.as_state(state)
     h = model.hamiltonian(controls_now)
     x_mean = float(np.real(np.vdot(psi, model.observable @ psi)))
     xc_psi = model.observable @ psi - x_mean * psi
@@ -127,9 +124,7 @@ def drift(model, controls_now, state):
 
 def diffusion(model, state):
     """Noise coefficient sqrt(2 k) (X - <X>) |psi>; orthogonal to the state."""
-    psi = as_complex_vector(state)
-    if psi.size != model.n:
-        raise ValidationError(f"state dimension {psi.size} does not match model dimension {model.n}")
+    psi = model.as_state(state)
     x_mean = float(np.real(np.vdot(psi, model.observable @ psi)))
     return np.sqrt(2.0 * model.measurement_strength) * (model.observable @ psi - x_mean * psi)
 
@@ -361,8 +356,8 @@ class TrajectoryRecord:
 
 def _step_count(dt, t_final):
     _require_dt(dt)
-    if not (np.isfinite(t_final) and t_final >= 0.0):
-        raise ValidationError(f"t_final must be finite and >= 0, got {t_final}")
+    if require_number(t_final, "t_final") < 0.0:
+        raise ValidationError(f"t_final: must be >= 0, got {t_final}")
     ratio = float(t_final) / float(dt)
     if ratio > MAX_STEPS:
         raise ValidationError(f"t_final {t_final} / dt {dt} exceeds MAX_STEPS = {MAX_STEPS} steps")
@@ -381,9 +376,8 @@ def simulate_trajectory(model, law, psi0, dt, t_final, seed, increments=None):
     convergence studies). Raises IntegrationError if the state norm
     collapses below 1e-6 at any step.
     """
-    psi0 = require_state_vector(psi0, "psi0")
-    if psi0.size != model.n:
-        raise ValidationError(f"psi0 dimension {psi0.size} does not match model dimension {model.n}")
+    psi0 = model.require_start(psi0, "psi0")
+    seed = require_int(seed, "seed")
     steps = _step_count(dt, t_final)
     if increments is None:
         path = WienerPath.generate(seed, steps, dt)
@@ -419,5 +413,5 @@ def simulate_trajectory(model, law, psi0, dt, t_final, seed, increments=None):
         observable_mean=x_mean,
         controls_applied=controls,
         wiener_increments=np.array(inc),
-        seed=int(seed),
+        seed=seed,
     )

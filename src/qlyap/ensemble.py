@@ -23,7 +23,7 @@ import numpy as np
 from .control import lyapunov_value, min_lyapunov_at_distance
 from .dynamics import NOISE_BLOCK, _Stepper, _step_count, _to_block, wiener_blocks
 from .errors import PreconditionError, ValidationError
-from .quantum import equivalence_distance, normalize, orthonormal_completion, require_state_vector
+from .quantum import equivalence_distance, normalize, orthonormal_completion, require_int, require_number
 
 CHUNK = 256
 BATCH = 4 * CHUNK
@@ -35,6 +35,7 @@ N_SIGMA = 3.0
 V_ABS_TOL = 1e-12
 PROBE_ABS_TOL_V = 1e-9
 PROBE_ABS_TOL_DISTANCE = 1e-6
+DEFAULT_R_LIST = (0.3, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,6 @@ def _run_trials(stepper, psi0, base_seed, trials, steps, dt, rec_idx, radii):
     - final_fid holds each row's fidelity at `steps`;
     - exit_steps has one row per radius, -1 where it was never exceeded.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
     # exceedance in distance > R is overlap magnitude < 1 - R^2/2
     r_thresh = np.array([1.0 - 0.5 * r * r for r in radii])
     alive = np.ones(trials, dtype=bool)
@@ -133,11 +132,15 @@ def _resolve_exits(exit_steps, mags, first_step, r_thresh):
     exit_steps[newly] = first_step + below.argmax(axis=1)[newly]
 
 
-def _require_start(vec, model, name):
-    psi = require_state_vector(vec, name)
-    if psi.size != model.n:
-        raise ValidationError(f"{name}: dimension {psi.size} does not match model dimension {model.n}")
-    return psi
+def require_radii(r_list, name="r_list"):
+    """Return r_list as a tuple of floats, raising unless it lists radii in (0, 2)."""
+    if not isinstance(r_list, (list, tuple)):
+        raise ValidationError(f"{name}: expected a list of radii, got {r_list!r}")
+    radii = tuple(require_number(r, f"{name}[{k}]") for k, r in enumerate(r_list))
+    for k, r in enumerate(radii):
+        if not 0.0 < r < 2.0:
+            raise ValidationError(f"{name}[{k}]: radii must lie in (0, 2), got {r}")
+    return radii
 
 
 def _mean_stderr(total, total_sq, count):
@@ -157,7 +160,7 @@ def run_ensemble(
     trials,
     base_seed,
     *,
-    r_list=(0.3, 0.5, 1.0),
+    r_list=DEFAULT_R_LIST,
     record_stride=None,
     max_recorded=201,
 ):
@@ -168,23 +171,20 @@ def run_ensemble(
     exit times are tracked at every step regardless of the stride. The
     result is deterministic for fixed inputs.
     """
-    psi0 = _require_start(psi0, model, "psi0")
+    psi0 = model.require_start(psi0, "psi0")
+    trials = require_int(trials, "trials", 1)
+    base_seed = require_int(base_seed, "base_seed")
     steps = _step_count(dt, t_final)
 
     if record_stride is None:
-        record_stride = max(1, steps // max(max_recorded - 1, 1))
-    record_stride = int(record_stride)
-    if record_stride < 1:
-        raise ValidationError(f"record_stride must be >= 1, got {record_stride}")
+        record_stride = max(1, steps // max(require_int(max_recorded, "max_recorded", 1) - 1, 1))
+    record_stride = require_int(record_stride, "record_stride", 1)
     rec_idx = list(range(0, steps + 1, record_stride))
     if rec_idx[-1] != steps:
         rec_idx.append(steps)
     rec_idx = np.asarray(rec_idx, dtype=np.int64)
 
-    r_list = tuple(float(r) for r in r_list)
-    for k, r in enumerate(r_list):
-        if not 0.0 < r < 2.0:
-            raise ValidationError(f"r_list[{k}]: radii must lie in (0, 2), got {r}")
+    r_list = require_radii(r_list)
     alive, total, total_sq, final_fid, exit_steps = _run_trials(
         _Stepper(model, law, dt), psi0, base_seed, trials, steps, dt, rec_idx, r_list
     )
@@ -195,11 +195,11 @@ def run_ensemble(
     # rounding can put a unit state's fidelity a few ulps above 1, and
     # np.histogram drops values outside its range
     hist = np.histogram(np.clip(final_fid[alive], 0.0, 1.0), bins=HIST_BINS, range=(0.0, 1.0))
-    failed = [int(base_seed) + int(i) for i in np.flatnonzero(~alive)]
+    failed = [base_seed + int(i) for i in np.flatnonzero(~alive)]
 
     return EnsembleSummary(
-        trials=int(trials),
-        base_seed=int(base_seed),
+        trials=trials,
+        base_seed=base_seed,
         dt=float(dt),
         t_final=float(t_final),
         times=rec_idx * float(dt),
@@ -295,12 +295,14 @@ def stability_bound_test(
     grow monotonically with the perturbation size (within the combined
     N_SIGMA band), so they vanish as the perturbation does.
     """
-    sizes = [float(size) for size in perturbation_sizes]
+    trials = require_int(trials, "trials", 1)
+    base_seed = require_int(base_seed, "base_seed")
+    sizes = [require_number(size, f"perturbation_sizes[{i}]") for i, size in enumerate(perturbation_sizes)]
     if not sizes:
         raise ValidationError("perturbation_sizes must not be empty")
     for i, size in enumerate(sizes):
-        if not 0.0 <= size < np.inf:
-            raise ValidationError(f"perturbation_sizes[{i}] must be finite and >= 0, got {size}")
+        if size < 0.0:
+            raise ValidationError(f"perturbation_sizes[{i}]: must be >= 0, got {size}")
     direction = 1j * orthonormal_completion(model.target)[:, 1]
     floor = min_lyapunov_at_distance(radius)
     steps = _step_count(dt, t_final)
@@ -374,7 +376,9 @@ def invariance_probe(
     reported so escape from the target-orthogonal set can be gated on
     growth.
     """
-    starts = [_require_start(cand, model, f"candidates[{idx}]") for idx, cand in enumerate(candidates)]
+    trials = require_int(trials, "trials", 1)
+    base_seed = require_int(base_seed, "base_seed")
+    starts = [model.require_start(cand, f"candidates[{idx}]") for idx, cand in enumerate(candidates)]
     steps = _step_count(dt, t_probe)
     stepper = _Stepper(model, law, dt)
     results = []

@@ -23,12 +23,11 @@ from .analysis import (
     InvariantSetSweep,
 )
 from .control import control_signals
-from .ensemble import EnsembleSummary, StabilityBoundReport
+from .ensemble import DEFAULT_R_LIST, EnsembleSummary, StabilityBoundReport, require_radii
 from .errors import ValidationError
 from .model import ControlLaw, SystemModel
-from .quantum import require_state_vector
+from .quantum import require_int, require_number, require_state_vector
 
-DEFAULT_R_LIST = (0.3, 0.5, 1.0)
 CSV_BLOCK_ROWS = 256
 
 
@@ -36,8 +35,10 @@ CSV_BLOCK_ROWS = 256
 class RunParams:
     """Ensemble execution parameters bundled with a definition file.
 
-    initial_state is optional; tools that need one fail with a clear
-    message when neither the file nor the caller provides it.
+    dt > 0, t_final >= 0, trials >= 1 and seed >= 0; r_list is a
+    non-empty list of radii in (0, 2). initial_state is optional; tools
+    that need one fail with a clear message when neither the file nor the
+    caller provides it.
     """
 
     dt: float
@@ -49,37 +50,32 @@ class RunParams:
 
     def __post_init__(self):
         # dump_definition writes the fields as they are, so hold them in file types
-        for name, kind in (("dt", float), ("t_final", float), ("trials", int), ("seed", int)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
-        object.__setattr__(self, "r_list", tuple(float(r) for r in self.r_list))
+        dt = require_number(self.dt, "dt")
+        if dt <= 0.0:
+            raise ValidationError(f"dt: must be positive, got {dt}")
+        t_final = require_number(self.t_final, "t_final")
+        if t_final < 0.0:
+            raise ValidationError(f"t_final: must be nonnegative, got {t_final}")
+        r_list = require_radii(self.r_list)
+        if not r_list:
+            raise ValidationError("r_list: expected a non-empty list of radii")
+        fields = {
+            "dt": dt,
+            "t_final": t_final,
+            "trials": require_int(self.trials, "trials", 1),
+            "seed": require_int(self.seed, "seed"),
+            "r_list": r_list,
+        }
         if self.initial_state is not None:
-            object.__setattr__(
-                self, "initial_state", np.asarray(self.initial_state, dtype=np.complex128)
-            )
-
-
-def _require_number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
-    return number
-
-
-def _require_int(value, where):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}: expected an integer, got {value!r}")
-    return int(value)
+            fields["initial_state"] = require_state_vector(self.initial_state, "initial_state")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
 
 def _complex_scalar(value, where):
     if not isinstance(value, list) or len(value) != 2:
         raise ValidationError(f"{where}: expected an [re, im] pair, got {value!r}")
-    return complex(_require_number(value[0], f"{where}[0]"), _require_number(value[1], f"{where}[1]"))
+    return complex(require_number(value[0], f"{where}[0]"), require_number(value[1], f"{where}[1]"))
 
 
 def _complex_vector(value, where):
@@ -99,107 +95,68 @@ def _complex_matrix(value, where):
     return np.array(rows)
 
 
-def _section(data, key, where):
-    if key not in data:
-        raise ValidationError(f"{where}: missing required key {key!r}")
-    section = data[key]
-    if not isinstance(section, dict):
-        raise ValidationError(f"{where}.{key}: expected an object")
-    return section
+def _complex_matrices(value, where):
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: expected a list of matrices")
+    return tuple(_complex_matrix(mat, f"{where}[{k}]") for k, mat in enumerate(value))
 
 
-def _check_keys(data, allowed, where):
+# The sections of a definition file, and the [re, im] reader of each
+# complex field; every other field is handed to its type as JSON gave it.
+_SECTIONS = {"system": SystemModel, "control_law": ControlLaw, "run": RunParams}
+_COMPLEX_READERS = {
+    "free_hamiltonian": _complex_matrix,
+    "controls": _complex_matrices,
+    "observable": _complex_matrix,
+    "target": _complex_vector,
+    "initial_state": _complex_vector,
+}
+
+
+def _require_object(data, allowed, required, where):
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where}: expected an object")
     unknown = set(data) - set(allowed)
     if unknown:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in data:
+            raise ValidationError(f"{where}: missing required key {key!r}")
+
+
+def _read(cls, data, where):
+    """Build the dataclass cls from a JSON object keyed by its fields.
+
+    The fields without a default are required; the others take the
+    dataclass default when absent. cls checks every value itself, and its
+    ValidationError comes back with `where` in front of the field name.
+    """
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    _require_object(data, [f.name for f in fields], required, where)
+    kwargs = {
+        key: _COMPLEX_READERS[key](value, f"{where}.{key}") if key in _COMPLEX_READERS else value
+        for key, value in data.items()
+    }
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}.{exc}") from exc
 
 
 def _parse_definition(data):
-    if not isinstance(data, dict):
-        raise ValidationError("definition: top level must be an object")
-    _check_keys(data, ("system", "control_law", "run"), "definition")
-
-    sys_d = _section(data, "system", "definition")
-    _check_keys(
-        sys_d,
-        ("free_hamiltonian", "controls", "observable", "target", "measurement_strength", "hbar"),
-        "system",
-    )
-    for key in ("free_hamiltonian", "controls", "observable", "target", "measurement_strength"):
-        if key not in sys_d:
-            raise ValidationError(f"system: missing required key {key!r}")
-    if not isinstance(sys_d["controls"], list):
-        raise ValidationError("system.controls: expected a list of matrices")
-    controls = tuple(
-        _complex_matrix(mat, f"system.controls[{k}]") for k, mat in enumerate(sys_d["controls"])
-    )
-    strength = _require_number(sys_d["measurement_strength"], "system.measurement_strength")
-    if strength <= 0.0:
+    _require_object(data, _SECTIONS, _SECTIONS, "definition")
+    model, law, params = (_read(cls, data[key], key) for key, cls in _SECTIONS.items())
+    # rules of the file format, or that span two sections
+    if model.measurement_strength <= 0.0:
         raise ValidationError(
-            f"system.measurement_strength: must be positive in a definition file, got {strength}"
+            "system.measurement_strength: must be positive in a definition file, "
+            f"got {model.measurement_strength}"
         )
-    model = SystemModel(
-        free_hamiltonian=_complex_matrix(sys_d["free_hamiltonian"], "system.free_hamiltonian"),
-        controls=controls,
-        observable=_complex_matrix(sys_d["observable"], "system.observable"),
-        target=_complex_vector(sys_d["target"], "system.target"),
-        measurement_strength=strength,
-        hbar=_require_number(sys_d.get("hbar", 1.0), "system.hbar"),
-    )
-
-    law_d = _section(data, "control_law", "definition")
-    _check_keys(law_d, ("gains", "phase_tol"), "control_law")
-    if "gains" not in law_d or not isinstance(law_d["gains"], list):
-        raise ValidationError("control_law.gains: expected a list of numbers")
-    gains = tuple(
-        _require_number(g, f"control_law.gains[{k}]") for k, g in enumerate(law_d["gains"])
-    )
-    law = ControlLaw(gains=gains, phase_tol=_require_number(law_d.get("phase_tol", 1e-12), "control_law.phase_tol"))
     law.require_positive_gains()
     law.require_matching(model)
-
-    run_d = _section(data, "run", "definition")
-    _check_keys(run_d, ("dt", "t_final", "trials", "seed", "r_list", "initial_state"), "run")
-    for key in ("dt", "t_final", "trials", "seed"):
-        if key not in run_d:
-            raise ValidationError(f"run: missing required key {key!r}")
-    dt = _require_number(run_d["dt"], "run.dt")
-    if dt <= 0.0:
-        raise ValidationError(f"run.dt: must be positive, got {dt}")
-    t_final = _require_number(run_d["t_final"], "run.t_final")
-    if t_final < 0.0:
-        raise ValidationError(f"run.t_final: must be nonnegative, got {t_final}")
-    trials = _require_int(run_d["trials"], "run.trials")
-    if trials < 1:
-        raise ValidationError(f"run.trials: must be >= 1, got {trials}")
-    seed = _require_int(run_d["seed"], "run.seed")
-    if seed < 0:
-        raise ValidationError(f"run.seed: must be >= 0, got {seed}")
-    raw_r = run_d.get("r_list", list(DEFAULT_R_LIST))
-    if not isinstance(raw_r, list) or not raw_r:
-        raise ValidationError("run.r_list: expected a non-empty list of numbers")
-    r_list = tuple(_require_number(r, f"run.r_list[{k}]") for k, r in enumerate(raw_r))
-    for k, r in enumerate(r_list):
-        if not 0.0 < r < 2.0:
-            raise ValidationError(f"run.r_list[{k}]: radii must lie in (0, 2), got {r}")
-    initial_state = None
-    if "initial_state" in run_d:
-        initial_state = require_state_vector(
-            _complex_vector(run_d["initial_state"], "run.initial_state"),
-            "run.initial_state",
-        )
-        if initial_state.size != model.n:
-            raise ValidationError(
-                f"run.initial_state: dimension {initial_state.size} does not match system dimension {model.n}"
-            )
-    params = RunParams(
-        dt=dt,
-        t_final=t_final,
-        trials=trials,
-        seed=seed,
-        r_list=r_list,
-        initial_state=initial_state,
-    )
+    if params.initial_state is not None:
+        model.require_start(params.initial_state, "run.initial_state")
     return model, law, params
 
 
@@ -232,7 +189,7 @@ def _pairs(array):
 
 def dump_definition(path, model, law, params):
     """Write a definition file that load_definition parses back exactly."""
-    data = to_jsonable({"system": model, "control_law": law, "run": params})
+    data = to_jsonable(dict(zip(_SECTIONS, (model, law, params))))
     if params.initial_state is None:
         del data["run"]["initial_state"]
     _write_json(path, data)
@@ -326,7 +283,7 @@ def to_jsonable(obj):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if obj is None or isinstance(obj, (int, float, str)):  # bool is an int
         return obj
     raise ValidationError(f"no JSON encoding for objects of type {type(obj).__name__}")
 

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quantum import require_hermitian, require_state_vector, require_traceless_hermitian
+from .quantum import (
+    as_complex_vector,
+    require_hermitian,
+    require_number,
+    require_state_vector,
+    require_traceless_hermitian,
+)
 
 
 def _frozen(arr):
@@ -35,6 +41,8 @@ class SystemModel:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.controls, (list, tuple, np.ndarray)):
+            raise ValidationError(f"controls: expected a list of matrices, got {self.controls!r}")
         h0 = _frozen(require_traceless_hermitian(self.free_hamiltonian, "free_hamiltonian"))
         ctrls = tuple(
             _frozen(require_traceless_hermitian(c, f"controls[{i}]"))
@@ -48,22 +56,20 @@ class SystemModel:
             (f"controls[{i}]", c) for i, c in enumerate(ctrls)
         ]:
             if mat.shape != (n, n):
-                raise ValidationError(
-                    f"{name}: shape {mat.shape} does not match system dimension {n}"
-                )
-        if not (self.measurement_strength >= 0.0 and np.isfinite(self.measurement_strength)):
-            raise ValidationError(
-                f"measurement_strength must be finite and >= 0, got {self.measurement_strength}"
-            )
-        if not (self.hbar > 0.0 and np.isfinite(self.hbar)):
-            raise ValidationError(f"hbar must be finite and > 0, got {self.hbar}")
+                raise ValidationError(f"{name}: shape {mat.shape} does not match system dimension {n}")
+        strength = require_number(self.measurement_strength, "measurement_strength")
+        if strength < 0.0:
+            raise ValidationError(f"measurement_strength: must be >= 0, got {strength}")
+        hbar = require_number(self.hbar, "hbar")
+        if hbar <= 0.0:
+            raise ValidationError(f"hbar: must be > 0, got {hbar}")
 
         object.__setattr__(self, "free_hamiltonian", h0)
         object.__setattr__(self, "controls", ctrls)
         object.__setattr__(self, "observable", x)
         object.__setattr__(self, "target", psi_f)
-        object.__setattr__(self, "measurement_strength", float(self.measurement_strength))
-        object.__setattr__(self, "hbar", float(self.hbar))
+        object.__setattr__(self, "measurement_strength", strength)
+        object.__setattr__(self, "hbar", hbar)
 
     @property
     def n(self):
@@ -72,6 +78,17 @@ class SystemModel:
     @property
     def m(self):
         return len(self.controls)
+
+    def as_state(self, vec, name="state"):
+        """Return vec as a complex vector, raising unless its dimension is n (any norm)."""
+        psi = as_complex_vector(vec, name)
+        if psi.size != self.n:
+            raise ValidationError(f"{name}: dimension {psi.size} does not match model dimension {self.n}")
+        return psi
+
+    def require_start(self, vec, name="psi0"):
+        """Return vec as a complex unit vector of dimension n."""
+        return self.as_state(require_state_vector(vec, name), name)
 
     def hamiltonian(self, controls_now):
         """H(u) = free_hamiltonian + sum_k u_k controls[k]."""
@@ -88,23 +105,24 @@ class SystemModel:
 class ControlLaw:
     """Feedback gains and the phase-lock tolerance of the control law.
 
-    Construction only checks shape and finiteness: adversarial studies
-    deliberately build laws with non-positive gains to watch the closed
-    loop misbehave. Call require_positive_gains() (done by file loading
-    and the CLI) to enforce the stabilizing-law invariant gains > 0.
+    Construction checks only that the gains are finite numbers, since
+    adversarial studies build laws with non-positive gains to watch the
+    closed loop misbehave. Call require_positive_gains() (done by file
+    loading and the CLI) to enforce the stabilizing-law invariant gains > 0.
     """
 
     gains: tuple
     phase_tol: float = 1e-12
 
     def __post_init__(self):
-        g = tuple(float(x) for x in np.atleast_1d(np.asarray(self.gains, dtype=float)))
-        if not all(np.isfinite(g)):
-            raise ValidationError("gains must all be finite")
-        if not (self.phase_tol > 0.0 and np.isfinite(self.phase_tol)):
-            raise ValidationError(f"phase_tol must be finite and > 0, got {self.phase_tol}")
-        object.__setattr__(self, "gains", g)
-        object.__setattr__(self, "phase_tol", float(self.phase_tol))
+        if not isinstance(self.gains, (list, tuple, np.ndarray)):
+            raise ValidationError(f"gains: expected a list of numbers, got {self.gains!r}")
+        gains = tuple(require_number(g, f"gains[{k}]") for k, g in enumerate(self.gains))
+        tol = require_number(self.phase_tol, "phase_tol")
+        if tol <= 0.0:
+            raise ValidationError(f"phase_tol: must be > 0, got {tol}")
+        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "phase_tol", tol)
 
     @property
     def m(self):

@@ -3,10 +3,13 @@
 States are complex unit vectors in C^n, observables are n x n Hermitian
 matrices, both held as plain numpy arrays. Physical states are identified
 up to a global phase, so distances and membership tests are phase
-invariant. Everything here is a pure function over those arrays.
+invariant. Everything here is a pure function over those arrays, beside
+the one number rule and the one integer rule every scalar input meets.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,11 +20,40 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EXPECTATION_IMAG_TOL = 1e-10
 EIGENSTATE_TOL = 1e-9
+# built once: require_number runs on every entry of a definition file
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
+
+def require_number(value, name):
+    """Return value as a float, raising unless it is a finite int or float (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES):
+        raise ValidationError(f"{name}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{name}: expected a finite number, got {value!r}")
+    return number
+
+
+def require_int(value, name, minimum=0):
+    """Return value as an int, raising unless it is an integer >= minimum (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _complex_array(value, name):
+    try:
+        return np.asarray(value, dtype=np.complex128)
+    except (TypeError, ValueError):  # not numbers, or ragged
+        raise ValidationError(f"{name}: expected numbers, got {type(value).__name__}") from None
 
 
 def as_complex_vector(vec, name="state"):
     """Coerce to a 1-D complex128 array without normalizing."""
-    arr = np.asarray(vec, dtype=np.complex128)
+    arr = _complex_array(vec, name)
     if arr.ndim != 1 or arr.size < 2:
         raise ValidationError(
             f"{name}: expected a complex vector of length >= 2, got shape {arr.shape}"
@@ -48,7 +80,7 @@ def require_state_vector(vec, name="state"):
 
 def require_hermitian(mat, name="operator"):
     """Return mat as a complex square array, raising unless finite and Hermitian (HERMITIAN_TOL)."""
-    arr = np.asarray(mat, dtype=np.complex128)
+    arr = _complex_array(mat, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name}: expected a square matrix, got shape {arr.shape}")
     _require_finite(arr, name)

@@ -11,6 +11,7 @@ from qlyap import (
     ControlLaw,
     InvariantSetSweep,
     SystemModel,
+    ValidationError,
     check_assumptions,
     common_eigenkets,
     escape_matrix,
@@ -324,6 +325,13 @@ def test_invariant_set_sweep_near_node_limit_stays_in_memory_bound():
     assert sum(sweep.dimension_counts.values()) == 995006
     assert sweep.max_dimension == 3
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_invariant_set_sweep_grid_points_take_the_integer_rule():
+    # a float used to reach np.linspace's TypeError
+    for bad in (2.5, True, np.float64(10.0), 1):
+        with pytest.raises(ValidationError, match=r"grid_points must be an integer >= 2"):
+            invariant_set_sweep(qubit_model(), grid_points=bad)
 
 
 def test_golden_sweep_bytes(tmp_path):

@@ -7,6 +7,7 @@ from qlyap import (
     ControlLaw,
     PreconditionError,
     SystemModel,
+    ValidationError,
     closed_loop_generator,
     control_signals,
     lyapunov_generator,
@@ -38,6 +39,10 @@ def test_min_lyapunov_at_distance_formula():
     assert min_lyapunov_at_distance(1.999) == 0.5
     with pytest.raises(PreconditionError):
         min_lyapunov_at_distance(2.0)
+    # not a number: a bare TypeError or ValueError from float(), or True taken as 1.0
+    for bad in (None, "0.5", True):
+        with pytest.raises(ValidationError, match="^radius: expected a number"):
+            min_lyapunov_at_distance(bad)
 
 
 def test_min_lyapunov_floor_is_attained_on_boundary():
@@ -152,3 +157,19 @@ def test_closed_loop_generator_requires_eigenstructure():
     )
     with pytest.raises(PreconditionError):
         closed_loop_generator(model, ControlLaw(gains=(1.0,)), np.array([1.0, 0.0]))
+
+
+def test_every_state_argument_names_a_wrong_dimension_one_way():
+    model = qubit_model()
+    law = ControlLaw(gains=(1.0,))
+    wrong = np.array([1.0, 0.0, 0.0])
+    calls = (
+        lambda: control_signals(model, law, wrong),
+        lambda: lyapunov_generator(model, np.zeros(1), wrong),
+        lambda: closed_loop_generator(model, law, wrong),
+        lambda: drift(model, np.zeros(1), wrong),
+        lambda: diffusion(model, wrong),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"^state: dimension 3 does not match model dimension 2$"):
+            call()

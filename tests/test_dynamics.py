@@ -69,6 +69,25 @@ def test_wiener_blocks_match_generate(steps):
     assert np.array_equal(streamed, expected)
 
 
+def test_seeds_and_step_counts_take_the_integer_rule():
+    # a float seed used to reach SeedSequence's TypeError, and a float step
+    # count was truncated
+    model = qubit_model()
+    law = ControlLaw(gains=(1.0,))
+    for seed in (2.5, True, -1):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            simulate_trajectory(model, law, model.target, 0.01, 0.1, seed)
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            WienerPath.generate(seed, 2, 0.01)
+    for steps in (2.5, True, -1):
+        with pytest.raises(ValidationError, match="steps must be an integer >= 0"):
+            WienerPath.generate(1, steps, 0.01)
+    for factor in (2.0, True, 0):
+        with pytest.raises(ValidationError, match="factor must be an integer >= 1"):
+            WienerPath.generate(1, 4, 0.01).coarsen(factor)
+    assert WienerPath.generate(np.int64(1), np.int64(4), 0.01).seed == 1
+
+
 def test_wiener_blocks_check_arguments_before_drawing():
     # the checks run at the call, not at the first block
     with pytest.raises(ValidationError, match="seed"):

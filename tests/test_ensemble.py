@@ -298,6 +298,8 @@ def test_run_ensemble_input_validation():
     assert summary.trials == 2 and summary.included == 2
     with pytest.raises(ValidationError, match=r"psi0: dimension 3 does not match"):
         run_ensemble(model, law, np.array([1.0, 0, 0]), 0.001, 0.1, trials=1, base_seed=0)
+    with pytest.raises(ValidationError, match=r"psi0: dimension 3 does not match"):
+        simulate_trajectory(model, law, np.array([1.0, 0, 0]), 0.001, 0.1, seed=0)
     with pytest.raises(ValidationError, match="record_stride"):
         run_ensemble(
             model, law, QUBIT_PSI0, 0.001, 0.1, trials=1, base_seed=0, record_stride=0
@@ -309,6 +311,32 @@ def test_run_ensemble_input_validation():
     # no radii is legal: nothing to track
     summary = run_ensemble(model, law, QUBIT_PSI0, 0.001, 0.01, trials=1, base_seed=0, r_list=())
     assert summary.sup_distance_exceed_prob == {} and summary.first_exit_times == {}
+
+
+def test_seeds_and_counts_take_the_integer_rule(monkeypatch):
+    # a float base_seed used to raise a bare TypeError, a bool was run as a
+    # seed, and a float or bool record_stride was truncated
+    model = qubit_model()
+    law = ControlLaw(gains=(1.0,))
+    monkeypatch.setattr(ensemble_mod, "_Stepper", _SteplessStepper)
+    tools = (
+        lambda seed: run_ensemble(model, law, QUBIT_PSI0, 0.01, 0.1, 2, seed),
+        lambda seed: invariance_probe(
+            model, law, [model.target], dt=0.01, t_probe=0.1, trials=2, base_seed=seed
+        ),
+        lambda seed: stability_bound_test(
+            model, law, 0.5, (0.1,), 2, dt=0.01, t_final=0.1, base_seed=seed
+        ),
+    )
+    for tool in tools:
+        for bad in (2.5, True, np.float64(3.0), -1):
+            with pytest.raises(ValidationError, match=r"base_seed must be an integer >= 0"):
+                tool(bad)
+    for bad in (2.5, True, 0):
+        with pytest.raises(ValidationError, match=r"record_stride must be an integer >= 1"):
+            run_ensemble(model, law, QUBIT_PSI0, 0.01, 0.1, 2, 0, record_stride=bad)
+    with pytest.raises(ValidationError, match=r"max_recorded must be an integer >= 1"):
+        run_ensemble(model, law, QUBIT_PSI0, 0.01, 0.1, 2, 0, max_recorded=2.5)
 
 
 def test_golden_ensemble_bytes(tmp_path):

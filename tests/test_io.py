@@ -1,5 +1,6 @@
 """Definition files, trajectory CSV, and report serialization."""
 
+import dataclasses
 import json
 import re
 from importlib import resources
@@ -164,6 +165,14 @@ def _dump_dict(tmp_path):
             lambda d: d["run"].update(initial_state=[[1.0, 0.0], [0.0, 0.0]]),
             r"run.initial_state.*dimension",
         ),
+        (lambda d: d["run"].update(r_list=0.5), r"run\.r_list: expected a list of radii, got 0\.5"),
+        (lambda d: d["control_law"].update(gains="0.7"), r"control_law\.gains: expected a list"),
+        (lambda d: d["system"].update(hbar=None), r"system\.hbar: expected a number, got None"),
+        (
+            lambda d: d["control_law"].update(phase_tol=[1e-12]),
+            r"control_law\.phase_tol: expected a number",
+        ),
+        (lambda d: d["system"].update(controls={}), r"system\.controls: expected a list of matrices"),
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, mutate, match):
@@ -173,6 +182,38 @@ def test_validation_errors_name_the_field(tmp_path, mutate, match):
     bad.write_text(json.dumps(data))
     with pytest.raises(ValidationError, match=match):
         load_definition(bad)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: RunParams(dt=0.1, t_final=1.0, trials=2.7, seed=1), r"^trials must be an integer"),
+        (lambda: RunParams(dt=0.1, t_final=1.0, trials=2, seed=1.9), r"^seed must be an integer"),
+        (lambda: RunParams(dt=-1.0, t_final=1.0, trials=2, seed=1), r"^dt: must be positive"),
+        (lambda: dataclasses.replace(qutrit_model(), hbar=None), r"^hbar: expected a number, got None"),
+        (lambda: ControlLaw(gains=("x",)), r"^gains\[0\]: expected a number, got 'x'"),
+        (lambda: ControlLaw(gains=(True,)), r"^gains\[0\]: expected a number, got True"),
+        (lambda: dataclasses.replace(qutrit_model(), controls=None), r"^controls: expected a list"),
+        (
+            lambda: RunParams(dt=0.1, t_final=1.0, trials=2, seed=1, initial_state={}),
+            r"^initial_state: expected numbers, got dict",
+        ),
+    ],
+    ids=[
+        "float-trials",
+        "float-seed",
+        "negative-dt",
+        "null-hbar",
+        "string-gain",
+        "bool-gain",
+        "null-controls",
+        "object-state",
+    ],
+)
+def test_constructors_refuse_what_a_file_is_refused_for(build, match):
+    # each used to be truncated, accepted, or refused with a bare TypeError or numpy's ValueError
+    with pytest.raises(ValidationError, match=match):
+        build()
 
 
 def test_invalid_json_syntax(tmp_path):

@@ -12,9 +12,45 @@ from qlyap import (
     normalize,
     orthonormal_completion,
 )
-from qlyap.quantum import require_hermitian, require_state_vector, require_traceless_hermitian
+from qlyap.quantum import (
+    require_hermitian,
+    require_int,
+    require_number,
+    require_state_vector,
+    require_traceless_hermitian,
+)
 
 from conftest import random_hermitian, random_state
+
+
+def test_number_rule_takes_finite_ints_and_floats_only():
+    for value in (3, -2.5, np.int64(4), np.float32(0.5), np.float64(1e300)):
+        got = require_number(value, "x")
+        assert type(got) is float and got == float(value)
+    for bad, match in (
+        (True, "expected a number, got True"),
+        (np.bool_(False), "expected a number"),
+        (None, "expected a number, got None"),
+        ("1.0", "expected a number"),
+        ([1.0], "expected a number"),
+        (1j, "expected a number"),
+        (float("nan"), "expected a finite number"),
+        (-np.inf, "expected a finite number"),
+        (10**400, "expected a finite number"),
+    ):
+        with pytest.raises(ValidationError, match=f"^x: {match}"):
+            require_number(bad, "x")
+
+
+def test_integer_rule_takes_integers_from_the_minimum_only():
+    assert require_int(0, "n") == 0
+    got = require_int(np.int64(7), "n", 1)
+    assert type(got) is int and got == 7
+    for bad in (-1, 2.5, 3.0, np.float64(2.0), True, np.bool_(True), None, "3"):
+        with pytest.raises(ValidationError, match=r"^n must be an integer >= 0, got "):
+            require_int(bad, "n")
+    with pytest.raises(ValidationError, match=r"^n must be an integer >= 2, got 1$"):
+        require_int(1, "n", 2)
 
 
 def test_require_state_vector_accepts_unit_rejects_rest():

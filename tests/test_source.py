@@ -1,5 +1,6 @@
-"""Source hygiene: every import in a qlyap module is used there, and every
-module-level private name is used somewhere in the package."""
+"""Source hygiene: every import in a qlyap module is used there, every
+module-level private name is used somewhere in the package, and only
+`quantum` writes a number or integer rule."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,24 @@ def test_no_module_keeps_an_unused_private_name():
         if private not in referenced
     ]
     assert not leftovers, "private names nothing uses:\n" + "\n".join(leftovers)
+
+
+def _bool_checks(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                yield node.lineno
+
+
+def test_only_quantum_tells_a_bool_from_a_number():
+    # an isinstance(..., bool) test is the mark of a number or integer rule;
+    # require_number and require_int in quantum are the only ones
+    found = [
+        f"{name}:{line}"
+        for name, tree in _trees().items()
+        if name != "quantum.py"
+        for line in _bool_checks(tree)
+    ]
+    assert not found, "isinstance(..., bool) outside quantum.py:\n" + "\n".join(found)
+    assert list(_bool_checks(_trees()["quantum.py"])), "the rules in quantum.py were not seen"
