@@ -7,11 +7,11 @@ rows, in seed order, so every statistic is fixed by the inputs alone: a
 trajectory's numbers do not depend on which batch it falls into, and the
 blocks, hence every sum, do not depend on the batch width.
 
-Every tool reaches the kernel through one driver, _run_trials, called
-once per ensemble, probe candidate or perturbation size. It walks the
-seeds batch by batch, loops once per batch over _Stepper.states, fed by
-streamed noise blocks, and reduces each block's surviving rows to sums;
-the tools differ only in the steps recorded and the radii tracked.
+Every tool reaches the kernel through one call of one driver, _run_trials,
+which runs one trajectory per row of its starts. An ensemble repeats psi0;
+the probe and the stability test stack `trials` rows per candidate or size,
+so group g's trajectory j has seed base_seed + g * trials + j. The driver
+loops per batch over _Stepper.states and reduces surviving rows to sums.
 """
 
 from __future__ import annotations
@@ -72,28 +72,28 @@ class EnsembleSummary:
         return self.trials - self.failures
 
 
-def _run_trials(stepper, psi0, base_seed, trials, steps, dt, rec_idx, radii):
-    """Run one trajectory from psi0 per seed base_seed, ..., base_seed + trials - 1.
+def _run_trials(stepper, starts, base_seed, steps, dt, rec_idx, radii):
+    """Run one trajectory per row of the (rows, n) array starts, row i with seed base_seed + i.
 
-    The seeds run in BATCH-wide ranges through `steps` steps. rec_idx lists
+    The rows run in BATCH-wide ranges through `steps` steps. rec_idx lists
     the recorded steps, ending at `steps`; radii lists the distances whose
-    first exceedance is tracked, possibly none. Returns, over all trials,
+    first exceedance is tracked, possibly none. Returns, over all rows,
     (alive, total, total_sq, final_fid, exit_steps):
-    - alive marks the rows that never collapsed, the survivors;
+    - alive marks the rows that never collapsed, the survivors (callers check them);
     - total and total_sq are (3, len(rec_idx)) sums of V, <X> and fidelity
       and of their squares over the survivors, added one CHUNK-row block
-      at a time in seed order;
+      at a time in row order;
     - final_fid holds each row's fidelity at `steps`;
     - exit_steps has one row per radius, -1 where it was never exceeded.
     """
     # exceedance in distance > R is overlap magnitude < 1 - R^2/2
     r_thresh = np.array([1.0 - 0.5 * r * r for r in radii])
-    alive = np.ones(trials, dtype=bool)
-    final_fid = np.empty(trials)
-    exit_steps = np.full((r_thresh.size, trials), -1, dtype=np.int64)
+    alive = np.ones(len(starts), dtype=bool)
+    final_fid = np.empty(len(starts))
+    exit_steps = np.full((r_thresh.size, len(starts)), -1, dtype=np.int64)
     sums, sums_sq = [], []
-    for lo in range(0, trials, BATCH):
-        hi = min(lo + BATCH, trials)
+    for lo in range(0, len(starts), BATCH):
+        hi = min(lo + BATCH, len(starts))
         blocks = wiener_blocks(range(base_seed + lo, base_seed + hi), steps, dt)
         hist = np.empty((3, hi - lo, len(rec_idx)))
         live, exits = alive[lo:hi], exit_steps[:, lo:hi]  # views: updates land in the full arrays
@@ -101,7 +101,7 @@ def _run_trials(stepper, psi0, base_seed, trials, steps, dt, rec_idx, radii):
         # resolved once per block of steps instead of at every step
         mags = np.empty((NOISE_BLOCK, hi - lo)) if r_thresh.size else None
         rec = 0
-        for i, _, fid, x_mean, _, _, ok in stepper.states(_to_block(np.tile(psi0, (hi - lo, 1))), blocks):
+        for i, _, fid, x_mean, _, _, ok in stepper.states(_to_block(starts[lo:hi]), blocks):
             if i == rec_idx[rec]:
                 hist[:, :, rec] = 0.5 * (1.0 - fid), x_mean, fid
                 rec += 1
@@ -117,8 +117,6 @@ def _run_trials(stepper, psi0, base_seed, trials, steps, dt, rec_idx, radii):
             kept = hist[:, c : c + CHUNK][:, live[c : c + CHUNK]]
             sums.append(kept.sum(axis=1))
             sums_sq.append((kept ** 2).sum(axis=1))
-    if not alive.any():
-        raise ValidationError("every trajectory in the ensemble failed to integrate")
     return alive, np.stack(sums).sum(axis=0), np.stack(sums_sq).sum(axis=0), final_fid, exit_steps
 
 
@@ -185,9 +183,12 @@ def run_ensemble(
     rec_idx = np.asarray(rec_idx, dtype=np.int64)
 
     r_list = require_radii(r_list)
+    starts = np.broadcast_to(psi0, (trials, psi0.size))
     alive, total, total_sq, final_fid, exit_steps = _run_trials(
-        _Stepper(model, law, dt), psi0, base_seed, trials, steps, dt, rec_idx, r_list
+        _Stepper(model, law, dt), starts, base_seed, steps, dt, rec_idx, r_list
     )
+    if not alive.any():
+        raise ValidationError("every trajectory in the ensemble failed to integrate")
     (mean_v, mean_x, mean_f), (se_v, se_x, se_f) = _mean_stderr(total, total_sq, int(alive.sum()))
     exit_steps = exit_steps[:, alive]
     exits = dict(zip(r_list, np.where(exit_steps >= 0, exit_steps * dt, np.inf)))
@@ -297,6 +298,8 @@ def stability_bound_test(
     """
     trials = require_int(trials, "trials", 1)
     base_seed = require_int(base_seed, "base_seed")
+    if not isinstance(perturbation_sizes, (list, tuple)):
+        raise ValidationError(f"perturbation_sizes: expected a list of sizes, got {perturbation_sizes!r}")
     sizes = [require_number(size, f"perturbation_sizes[{i}]") for i, size in enumerate(perturbation_sizes)]
     if not sizes:
         raise ValidationError("perturbation_sizes must not be empty")
@@ -304,18 +307,22 @@ def stability_bound_test(
         if size < 0.0:
             raise ValidationError(f"perturbation_sizes[{i}]: must be >= 0, got {size}")
     direction = 1j * orthonormal_completion(model.target)[:, 1]
+    starts = [normalize(model.target + size * direction) if size else model.target.copy() for size in sizes]
     floor = min_lyapunov_at_distance(radius)
     steps = _step_count(dt, t_final)
-    stepper = _Stepper(model, law, dt)
+    alive, _, _, _, exit_steps = _run_trials(
+        _Stepper(model, law, dt), np.repeat(starts, trials, axis=0), base_seed,
+        steps, dt, [steps], (float(radius),),
+    )
+    alive, exceeded = alive.reshape(-1, trials), (exit_steps[0] >= 0).reshape(-1, trials)  # one row per size
     rows = []
-    for i, size in enumerate(sizes):
-        psi0 = normalize(model.target + size * direction) if size else model.target.copy()
+    for i, (size, psi0) in enumerate(zip(sizes, starts)):
+        survivors = int(alive[i].sum())
+        if not survivors:
+            raise ValidationError(f"perturbation_sizes[{i}]: every trajectory failed to integrate")
         v0 = lyapunov_value(psi0, model.target)
-        alive, _, _, _, exit_steps = _run_trials(
-            stepper, psi0, base_seed + i * trials, trials, steps, dt, [steps], (float(radius),)
-        )
-        p = float(np.mean(exit_steps[0, alive] >= 0))
-        stderr = float(np.sqrt(p * (1.0 - p) / int(alive.sum())))
+        p = float(np.mean(exceeded[i, alive[i]]))
+        stderr = float(np.sqrt(p * (1.0 - p) / survivors))
         bound = v0 / floor
         rows.append(
             StabilityRow(
@@ -329,11 +336,10 @@ def stability_bound_test(
             )
         )
     ordered = sorted(rows, key=lambda r: r.perturbation_size)
-    monotone = True
-    for small, big in zip(ordered, ordered[1:]):
-        band = N_SIGMA * float(np.hypot(small.stderr, big.stderr))
-        if small.empirical_p > big.empirical_p + band:
-            monotone = False
+    monotone = all(
+        small.empirical_p <= big.empirical_p + N_SIGMA * float(np.hypot(small.stderr, big.stderr))
+        for small, big in zip(ordered, ordered[1:])
+    )
     return StabilityBoundReport(radius=float(radius), rows=tuple(rows), monotone_within_band=monotone)
 
 
@@ -378,27 +384,27 @@ def invariance_probe(
     """
     trials = require_int(trials, "trials", 1)
     base_seed = require_int(base_seed, "base_seed")
+    if not isinstance(candidates, (list, tuple)):
+        raise ValidationError(f"candidates: expected a list of states, got {candidates!r}")
+    if not candidates:
+        raise ValidationError("candidates must not be empty")
     starts = [model.require_start(cand, f"candidates[{idx}]") for idx, cand in enumerate(candidates)]
     steps = _step_count(dt, t_probe)
-    stepper = _Stepper(model, law, dt)
+    alive, _, _, final_fid, _ = _run_trials(
+        _Stepper(model, law, dt), np.repeat(starts, trials, axis=0), base_seed, steps, dt, [steps], ()
+    )
+    if not alive.all():  # name the candidate of the first dead row
+        raise ValidationError(f"candidates[{np.argmin(alive) // trials}]: probe trajectories failed to integrate")
     results = []
-    for idx, psi0 in enumerate(starts):
+    for psi0, fid in zip(starts, final_fid.reshape(-1, trials)):  # one row of trials per candidate
         v0 = lyapunov_value(psi0, model.target)
         d0 = equivalence_distance(psi0, model.target)
         f0 = float(abs(np.vdot(model.target, psi0)) ** 2)
-        alive, _, _, fid, _ = _run_trials(
-            stepper, psi0, base_seed + idx * trials, trials, steps, dt, [steps], ()
-        )
-        if not alive.all():
-            raise ValidationError(f"candidates[{idx}]: probe trajectories failed to integrate")
         dist = np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(fid), 0.0))
         dv = 0.5 * (1.0 - fid) - v0
         dd = dist - d0
         df = fid - f0
-
-        mean_dv, se_dv = _scalar_stats(dv)
-        mean_dd, se_dd = _scalar_stats(dd)
-        mean_df, se_df = _scalar_stats(df)
+        (mean_dv, se_dv), (mean_dd, se_dd), (mean_df, se_df) = map(_scalar_stats, (dv, dd, df))
         stationary = bool(
             abs(mean_dv) <= N_SIGMA * se_dv + PROBE_ABS_TOL_V
             and abs(mean_dd) <= N_SIGMA * se_dd + PROBE_ABS_TOL_DISTANCE

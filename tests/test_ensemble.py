@@ -17,6 +17,7 @@ from qlyap import (
     simulate_trajectory,
     stability_bound_test,
     supermartingale_test,
+    to_jsonable,
     write_report_json,
 )
 from qlyap.dynamics import _Stepper
@@ -166,6 +167,31 @@ def test_report_bytes_do_not_depend_on_batch_width(monkeypatch, tmp_path):
             write_report_json(path, obj)
             reports[name].add(path.read_bytes())
     assert all(len(found) == 1 for found in reports.values()), reports
+
+
+def test_stacked_groups_match_single_group_calls(monkeypatch):
+    # every group is one slice of a single seed range, group i starting at
+    # base_seed + i * trials; at BATCH 256 the 900 stacked rows run as four
+    # batches, and each group straddles a batch boundary
+    model = qubit_model()
+    law = ControlLaw(gains=(1.0,))
+    monkeypatch.setattr(ensemble_mod, "BATCH", 256)
+    sizes = (0.1, 0.2, 0.3)
+    stacked = stability_bound_test(model, law, 0.3, sizes, 300, dt=0.004, t_final=0.4, base_seed=17)
+    for i, size in enumerate(sizes):
+        (row,) = stability_bound_test(
+            model, law, 0.3, (size,), 300, dt=0.004, t_final=0.4, base_seed=17 + i * 300
+        ).rows
+        assert stacked.rows[i] == row
+    assert len({row.empirical_p for row in stacked.rows}) == 3  # the rows differ, so the check has teeth
+
+    candidates = [QUBIT_PSI0, np.array([1.0, 0.0], dtype=complex), model.target]
+    stacked = invariance_probe(model, law, candidates, dt=0.004, t_probe=0.4, trials=300, base_seed=17)
+    for i, cand in enumerate(candidates):
+        single = invariance_probe(
+            model, law, [cand], dt=0.004, t_probe=0.4, trials=300, base_seed=17 + i * 300
+        )
+        assert to_jsonable(stacked[i : i + 1]) == to_jsonable(single)
 
 
 @pytest.mark.parametrize("block", [7, ensemble_mod.NOISE_BLOCK])
@@ -503,6 +529,9 @@ def test_invariance_probe_rejects_bad_candidate(monkeypatch):
         invariance_probe(
             model, law, [np.zeros(2)], dt=0.002, t_probe=0.1, trials=2, base_seed=0
         )
+    # no candidates would give a result based on no trajectories
+    with pytest.raises(ValidationError, match="candidates must not be empty"):
+        invariance_probe(model, law, [], dt=0.002, t_probe=0.1, trials=2, base_seed=0)
     for bad in (0, 2.5, False):
         with pytest.raises(ValidationError, match="trials must be an integer >= 1"):
             invariance_probe(
@@ -535,3 +564,36 @@ def test_invariance_probe_names_collapsed_candidate(monkeypatch):
         invariance_probe(
             model, law, [model.target, model.target], dt=0.002, t_probe=0.1, trials=2, base_seed=0
         )
+    # every row of every candidate dead: the first candidate is named
+    monkeypatch.setattr(_FlakyStepper, "dead_columns", (0, 1, 2, 3))
+    with pytest.raises(ValidationError, match=r"candidates\[0\]: probe trajectories failed"):
+        invariance_probe(
+            model, law, [model.target, model.target], dt=0.002, t_probe=0.1, trials=2, base_seed=0
+        )
+
+
+def test_stability_bound_test_names_a_size_with_no_survivors(monkeypatch):
+    # rows 3, 4 and 5 are the three trials of size 1; with no survivors its
+    # binomial stderr would divide by 0
+    monkeypatch.setattr(_FlakyStepper, "dead_columns", (3, 4, 5))
+    monkeypatch.setattr(ensemble_mod, "_Stepper", _FlakyStepper)
+    with pytest.raises(
+        ValidationError, match=r"perturbation_sizes\[1\]: every trajectory failed to integrate"
+    ):
+        stability_bound_test(
+            qubit_model(), ControlLaw(gains=(1.0,)), 0.5, (0.1, 0.2, 0.3), 3,
+            dt=0.01, t_final=0.1, base_seed=0,
+        )
+
+
+def test_tools_refuse_a_bare_number_or_state_for_a_list(monkeypatch):
+    # a bare number raised a bare TypeError, and a bare state was walked
+    # component by component
+    model = qubit_model()
+    law = ControlLaw(gains=(1.0,))
+    monkeypatch.setattr(ensemble_mod, "_Stepper", _SteplessStepper)
+    with pytest.raises(ValidationError, match=r"perturbation_sizes: expected a list of sizes, got 0\.1"):
+        stability_bound_test(model, law, 0.5, 0.1, 2, dt=0.01, t_final=0.1, base_seed=0)
+    for bad in (5, model.target):
+        with pytest.raises(ValidationError, match=r"candidates: expected a list of states"):
+            invariance_probe(model, law, bad, dt=0.01, t_probe=0.1, trials=2, base_seed=0)

@@ -1,6 +1,7 @@
 """Source hygiene: every import in a qlyap module is used there, every
-module-level private name is used somewhere in the package, and only
-`quantum` writes a number or integer rule."""
+module-level private name is used somewhere in the package, only
+`quantum` writes a number or integer rule, and every tool makes one
+call of the seeded-trials driver."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,33 @@ def test_only_quantum_tells_a_bool_from_a_number():
     ]
     assert not found, "isinstance(..., bool) outside quantum.py:\n" + "\n".join(found)
     assert list(_bool_checks(_trees()["quantum.py"])), "the rules in quantum.py were not seen"
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _driver_calls(node):
+    return [
+        call for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_run_trials"
+    ]
+
+
+def test_every_tool_calls_the_driver_once_outside_any_loop():
+    # a tool stacks all of its groups as rows of one start array and makes one
+    # _run_trials call; a per-group loop around the driver must not come back
+    callers, found = set(), []
+    for name, tree in _trees().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls = _driver_calls(func)
+            if calls:
+                callers.add(func.name)
+            if len(calls) > 1:
+                found.append(f"{name}:{func.lineno}: {func.name} calls _run_trials {len(calls)} times")
+        for loop in ast.walk(tree):
+            if isinstance(loop, _LOOPS):
+                found += [f"{name}:{call.lineno}: _run_trials called in a loop" for call in _driver_calls(loop)]
+    assert not found, "\n".join(found)
+    assert callers == {"run_ensemble", "stability_bound_test", "invariance_probe"}, callers
