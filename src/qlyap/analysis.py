@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .quantum import eigenstate_eigenvalue, orthonormal_completion, require_int
+from .quantum import eigenstate_eigenvalue, orthonormal_completion, require_int, require_number
 
 RANK_TOL = 1e-9
 CLUSTER_REL_TOL = 1e-8
@@ -182,6 +182,14 @@ def check_assumptions(model):
     )
 
 
+def _require_shifts(model, shifts):
+    """Return shifts (a list, tuple or array) as m floats, each checked as shifts[k]."""
+    values = np.asarray(shifts, dtype=object)
+    if values.shape != (model.m,):
+        raise ValidationError(f"shifts must have shape ({model.m},), got {values.shape}")
+    return np.array([require_number(lam, f"shifts[{k}]") for k, lam in enumerate(values)], dtype=float)
+
+
 def shifted_controls_independent(model, shifts):
     """True when the controls stay independent after diagonal shifts.
 
@@ -189,11 +197,7 @@ def shifted_controls_independent(model, shifts):
     collapses under some shift admits a control redundancy the feedback
     cannot distinguish from free evolution.
     """
-    shifts = np.asarray(shifts, dtype=float)
-    if shifts.shape != (model.m,):
-        raise ValidationError(
-            f"shifts must have shape ({model.m},), got {shifts.shape}"
-        )
+    shifts = _require_shifts(model, shifts)
     if model.m == 0:
         return True
     eye = np.eye(model.n)
@@ -218,11 +222,7 @@ class InvariantSetResult:
 
 
 def invariant_set_slice(model, shifts):
-    shifts = np.asarray(shifts, dtype=float)
-    if shifts.shape != (model.m,):
-        raise ValidationError(
-            f"shifts must have shape ({model.m},), got {shifts.shape}"
-        )
+    shifts = _require_shifts(model, shifts)
     n = model.n
     target = model.target
     rows = np.array(

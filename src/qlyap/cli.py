@@ -7,6 +7,7 @@ statistical or structural gate failed, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -27,13 +28,21 @@ GATE_FAILED = 2
 USAGE = 64
 
 
-def _load(source):
+def _load(args):
+    """Load args.definition; each run flag given replaces its RunParams field and meets its rule.
+
+    The flags --seed, --dt, --t-final and --trials share their names with the fields.
+    """
+    source = args.definition
     if os.path.exists(source):
-        return load_definition(source)
-    try:
-        return bundled_fixture(source)
-    except ValidationError:
-        raise ValidationError(f"{source}: no such file or bundled fixture") from None
+        model, law, params = load_definition(source)
+    else:
+        try:
+            model, law, params = bundled_fixture(source)
+        except ValidationError:
+            raise ValidationError(f"{source}: no such file or bundled fixture") from None
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(params)}
+    return model, law, dataclasses.replace(params, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _require_writable(path):
@@ -54,7 +63,7 @@ def _maybe_json(args, payload):
 
 
 def _cmd_check(args):
-    model, _, _ = _load(args.definition)
+    model, _, _ = _load(args)
     report = check_assumptions(model)
     for name in (
         "target_free_eigenstate",
@@ -87,33 +96,28 @@ def _initial_state(args, model, params):
 
 
 def _cmd_simulate(args):
-    model, law, params = _load(args.definition)
-    seed = params.seed if args.seed is None else args.seed
-    dt = params.dt if args.dt is None else args.dt
-    t_final = params.t_final if args.t_final is None else args.t_final
+    model, law, params = _load(args)
     psi0 = _initial_state(args, model, params)
-    record = simulate_trajectory(model, law, psi0, dt, t_final, seed)
+    record = simulate_trajectory(model, law, psi0, params.dt, params.t_final, params.seed)
     write_trajectory_csv(args.out, record, model, law)
     print(
-        f"seed {seed}: V {record.lyapunov[0]:.6f} -> {record.lyapunov[-1]:.6f}, "
+        f"seed {params.seed}: V {record.lyapunov[0]:.6f} -> {record.lyapunov[-1]:.6f}, "
         f"fidelity {record.fidelity[-1]:.6f}, wrote {args.out}"
     )
     return 0
 
 
 def _cmd_ensemble(args):
-    model, law, params = _load(args.definition)
+    model, law, params = _load(args)
     psi0 = _initial_state(args, model, params)
-    trials = params.trials if args.trials is None else args.trials
-    seed = params.seed if args.seed is None else args.seed
     summary = run_ensemble(
         model,
         law,
         psi0,
         params.dt,
         params.t_final,
-        trials,
-        seed,
+        params.trials,
+        params.seed,
         r_list=params.r_list,
         record_stride=args.stride,
     )
@@ -133,7 +137,7 @@ def _cmd_ensemble(args):
 
 
 def _cmd_invariant_set(args):
-    model, _, _ = _load(args.definition)
+    model, _, _ = _load(args)
     sweep = invariant_set_sweep(model, grid_points=args.grid_points)
     for dim in sorted(sweep.dimension_counts):
         print(f"dimension {dim}: {sweep.dimension_counts[dim]} grid nodes")
@@ -147,7 +151,7 @@ def _cmd_invariant_set(args):
 
 
 def _cmd_escape(args):
-    model, _, _ = _load(args.definition)
+    model, _, _ = _load(args)
     result = escape_matrix(model)
     singular = ", ".join(f"{s:.6f}" for s in result.singular_values)
     print(f"escape matrix rank {result.rank} of {model.n - 1} (singular values: {singular})")
@@ -157,7 +161,7 @@ def _cmd_escape(args):
 
 
 def _cmd_report(args):
-    model, law, params = _load(args.definition)
+    model, law, params = _load(args)
     psi0 = _initial_state(args, model, params)
     assumptions = check_assumptions(model)
     escape = escape_matrix(model)
@@ -167,7 +171,7 @@ def _cmd_report(args):
         psi0,
         params.dt,
         params.t_final,
-        params.trials if args.trials is None else args.trials,
+        params.trials,
         params.seed,
         r_list=params.r_list,
     )

@@ -14,16 +14,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .quantum import as_complex_vector, eigenstate_eigenvalue, require_number
+from .quantum import as_complex_vector, eigenstate_eigenvalue, fidelity, require_number
 
 
 def lyapunov_value(state, target):
     """V(state) = (1 - |<target|state>|^2) / 2."""
-    psi = as_complex_vector(state)
-    phi = as_complex_vector(target, "target")
-    if phi.size != psi.size:
-        raise ValidationError("state and target dimensions differ")
-    return float(0.5 * (1.0 - abs(np.vdot(phi, psi)) ** 2))
+    return 0.5 * (1.0 - fidelity(state, target))
+
+
+def _require_radius(radius, name="radius"):
+    """Return radius as a float, raising ValidationError unless it lies in (0, 2)."""
+    return require_number(radius, name, above=0.0, below=2.0)
 
 
 def min_lyapunov_at_distance(radius):
@@ -35,9 +36,7 @@ def min_lyapunov_at_distance(radius):
     sqrt(2), so for larger R the set is empty and the floor is max V = 1/2
     (any exceedance probability is zero and the bound stays valid).
     """
-    r = require_number(radius, "radius")
-    if not (0.0 < r < 2.0):
-        raise PreconditionError(f"radius must lie in (0, 2), got {r}")
+    r = _require_radius(radius)
     if r * r >= 2.0:
         return 0.5
     return float(0.5 * (1.0 - (1.0 - 0.5 * r * r) ** 2))

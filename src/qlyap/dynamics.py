@@ -19,9 +19,10 @@ trajectory per column, and gets every operator product a step needs from
 one matmul against a real operator stack built once per run; every later
 op runs on contiguous length-B rows. Its states() generator, the
 package's one loop over time, consumes increment blocks, yields every
-state of the batch and callers record what they need. Complex state rows
-are converted to and from the block only at the public boundary
-(euler_maruyama_step_many, simulate_trajectory).
+state of the batch and callers record what they need. Callers hand it
+complex state rows converted by _to_block (euler_maruyama_step_many,
+simulate_trajectory and the ensemble driver, once per batch) and read
+states back with _to_rows.
 drift() and diffusion() spell the same update out term by term; they are
 the reference the kernel is tested against.
 """
@@ -46,8 +47,7 @@ def _rng(seed):
 
 
 def _require_dt(dt):
-    if require_number(dt, "dt") <= 0.0:
-        raise ValidationError(f"dt: must be > 0, got {dt}")
+    return require_number(dt, "dt", above=0.0)
 
 
 def _require_noise_args(seeds, steps, dt):
@@ -305,9 +305,7 @@ def euler_maruyama_step(model, law, state, dt, dw):
     the sphere's neighborhood and the run is invalid).
     """
     psi = require_state_vector(state)
-    if not np.isfinite(np.asarray(dw, dtype=float)).all():
-        raise ValidationError(f"dw must be finite, got {dw}")
-    return euler_maruyama_step_many(model, law, psi[None, :], dt, [dw])[0]
+    return euler_maruyama_step_many(model, law, psi[None, :], dt, [require_number(dw, "dw")])[0]
 
 
 def euler_maruyama_step_many(model, law, states, dt, dws):
@@ -354,17 +352,17 @@ class TrajectoryRecord:
         return self.wiener_increments.size
 
 
-def _step_count(dt, t_final):
-    _require_dt(dt)
-    if require_number(t_final, "t_final") < 0.0:
-        raise ValidationError(f"t_final: must be >= 0, got {t_final}")
-    ratio = float(t_final) / float(dt)
+def _step_count(dt, t_final, name="t_final"):
+    """The number of dt steps in t_final; name is the caller's name for its horizon."""
+    dt = _require_dt(dt)
+    t_final = require_number(t_final, name, at_least=0.0)
+    ratio = t_final / dt
     if ratio > MAX_STEPS:
-        raise ValidationError(f"t_final {t_final} / dt {dt} exceeds MAX_STEPS = {MAX_STEPS} steps")
+        raise ValidationError(f"{name} {t_final} / dt {dt} exceeds MAX_STEPS = {MAX_STEPS} steps")
     steps = int(round(ratio))
     # the tolerance scales with t_final alone: a dt far beyond t_final is 0 steps off by t_final
     if abs(steps * dt - t_final) > 1e-9 * t_final:
-        raise PreconditionError(f"dt {dt} does not divide t_final {t_final}")
+        raise PreconditionError(f"dt {dt} does not divide {name} {t_final}")
     return steps
 
 

@@ -12,18 +12,24 @@ which runs one trajectory per row of its starts. An ensemble repeats psi0;
 the probe and the stability test stack `trials` rows per candidate or size,
 so group g's trajectory j has seed base_seed + g * trials + j. The driver
 loops per batch over _Stepper.states and reduces surviving rows to sums.
+
+The list arguments (r_list, perturbation_sizes, candidates) are read by
+quantum.require_list, and a radius meets one rule, in (0, 2), wherever it
+is given; a bad one raises ValidationError naming the argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .control import lyapunov_value, min_lyapunov_at_distance
+from .control import _require_radius, lyapunov_value, min_lyapunov_at_distance
 from .dynamics import NOISE_BLOCK, _Stepper, _step_count, _to_block, wiener_blocks
 from .errors import PreconditionError, ValidationError
-from .quantum import equivalence_distance, normalize, orthonormal_completion, require_int, require_number
+from .quantum import equivalence_distance, fidelity, normalize, orthonormal_completion
+from .quantum import require_int, require_list, require_number
 
 CHUNK = 256
 BATCH = 4 * CHUNK
@@ -131,14 +137,8 @@ def _resolve_exits(exit_steps, mags, first_step, r_thresh):
 
 
 def require_radii(r_list, name="r_list"):
-    """Return r_list as a tuple of floats, raising unless it lists radii in (0, 2)."""
-    if not isinstance(r_list, (list, tuple)):
-        raise ValidationError(f"{name}: expected a list of radii, got {r_list!r}")
-    radii = tuple(require_number(r, f"{name}[{k}]") for k, r in enumerate(r_list))
-    for k, r in enumerate(radii):
-        if not 0.0 < r < 2.0:
-            raise ValidationError(f"{name}[{k}]: radii must lie in (0, 2), got {r}")
-    return radii
+    """Return r_list as a tuple of floats, raising unless it is a list or tuple of radii in (0, 2)."""
+    return require_list(r_list, name, "radii", _require_radius)
 
 
 def _mean_stderr(total, total_sq, count):
@@ -298,14 +298,11 @@ def stability_bound_test(
     """
     trials = require_int(trials, "trials", 1)
     base_seed = require_int(base_seed, "base_seed")
-    if not isinstance(perturbation_sizes, (list, tuple)):
-        raise ValidationError(f"perturbation_sizes: expected a list of sizes, got {perturbation_sizes!r}")
-    sizes = [require_number(size, f"perturbation_sizes[{i}]") for i, size in enumerate(perturbation_sizes)]
+    sizes = require_list(
+        perturbation_sizes, "perturbation_sizes", "sizes", partial(require_number, at_least=0.0)
+    )
     if not sizes:
         raise ValidationError("perturbation_sizes must not be empty")
-    for i, size in enumerate(sizes):
-        if size < 0.0:
-            raise ValidationError(f"perturbation_sizes[{i}]: must be >= 0, got {size}")
     direction = 1j * orthonormal_completion(model.target)[:, 1]
     starts = [normalize(model.target + size * direction) if size else model.target.copy() for size in sizes]
     floor = min_lyapunov_at_distance(radius)
@@ -384,12 +381,10 @@ def invariance_probe(
     """
     trials = require_int(trials, "trials", 1)
     base_seed = require_int(base_seed, "base_seed")
-    if not isinstance(candidates, (list, tuple)):
-        raise ValidationError(f"candidates: expected a list of states, got {candidates!r}")
-    if not candidates:
+    starts = require_list(candidates, "candidates", "states", model.require_start)
+    if not starts:
         raise ValidationError("candidates must not be empty")
-    starts = [model.require_start(cand, f"candidates[{idx}]") for idx, cand in enumerate(candidates)]
-    steps = _step_count(dt, t_probe)
+    steps = _step_count(dt, t_probe, "t_probe")
     alive, _, _, final_fid, _ = _run_trials(
         _Stepper(model, law, dt), np.repeat(starts, trials, axis=0), base_seed, steps, dt, [steps], ()
     )
@@ -399,7 +394,7 @@ def invariance_probe(
     for psi0, fid in zip(starts, final_fid.reshape(-1, trials)):  # one row of trials per candidate
         v0 = lyapunov_value(psi0, model.target)
         d0 = equivalence_distance(psi0, model.target)
-        f0 = float(abs(np.vdot(model.target, psi0)) ** 2)
+        f0 = fidelity(psi0, model.target)
         dist = np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(fid), 0.0))
         dv = 0.5 * (1.0 - fid) - v0
         dd = dist - d0

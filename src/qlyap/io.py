@@ -26,7 +26,7 @@ from .control import control_signals
 from .ensemble import DEFAULT_R_LIST, EnsembleSummary, StabilityBoundReport, require_radii
 from .errors import ValidationError
 from .model import ControlLaw, SystemModel
-from .quantum import require_int, require_number, require_state_vector
+from .quantum import require_int, require_list, require_number, require_state_vector
 
 CSV_BLOCK_ROWS = 256
 
@@ -50,22 +50,15 @@ class RunParams:
 
     def __post_init__(self):
         # dump_definition writes the fields as they are, so hold them in file types
-        dt = require_number(self.dt, "dt")
-        if dt <= 0.0:
-            raise ValidationError(f"dt: must be positive, got {dt}")
-        t_final = require_number(self.t_final, "t_final")
-        if t_final < 0.0:
-            raise ValidationError(f"t_final: must be nonnegative, got {t_final}")
-        r_list = require_radii(self.r_list)
-        if not r_list:
-            raise ValidationError("r_list: expected a non-empty list of radii")
         fields = {
-            "dt": dt,
-            "t_final": t_final,
+            "dt": require_number(self.dt, "dt", above=0.0),
+            "t_final": require_number(self.t_final, "t_final", at_least=0.0),
+            "r_list": require_radii(self.r_list),
             "trials": require_int(self.trials, "trials", 1),
             "seed": require_int(self.seed, "seed"),
-            "r_list": r_list,
         }
+        if not fields["r_list"]:
+            raise ValidationError("r_list: expected a non-empty list of radii")
         if self.initial_state is not None:
             fields["initial_state"] = require_state_vector(self.initial_state, "initial_state")
         for name, value in fields.items():
@@ -73,32 +66,29 @@ class RunParams:
 
 
 def _complex_scalar(value, where):
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValidationError(f"{where}: expected an [re, im] pair, got {value!r}")
-    return complex(require_number(value[0], f"{where}[0]"), require_number(value[1], f"{where}[1]"))
+    pair = require_list(value, where, "two numbers [re, im]", require_number)
+    if len(pair) != 2:
+        raise ValidationError(f"{where}: expected a list of two numbers [re, im], got {value!r}")
+    return complex(*pair)
 
 
 def _complex_vector(value, where):
-    if not isinstance(value, list) or not value:
+    # a tuple: the model or run makes the array, and a matrix converts all its rows in one call
+    entries = require_list(value, where, "[re, im] pairs", _complex_scalar)
+    if not entries:
         raise ValidationError(f"{where}: expected a non-empty list of [re, im] pairs")
-    return np.array([_complex_scalar(v, f"{where}[{i}]") for i, v in enumerate(value)])
+    return entries
 
 
 def _complex_matrix(value, where):
-    if not isinstance(value, list) or not value:
+    rows = require_list(value, where, "rows", _complex_vector)
+    if not rows:
         raise ValidationError(f"{where}: expected a non-empty list of rows")
-    rows = [_complex_vector(row, f"{where}[{i}]") for i, row in enumerate(value)]
-    width = rows[0].size
+    width = len(rows[0])
     for i, row in enumerate(rows):
-        if row.size != width:
-            raise ValidationError(f"{where}[{i}]: row length {row.size} != {width}")
+        if len(row) != width:
+            raise ValidationError(f"{where}[{i}]: row length {len(row)} != {width}")
     return np.array(rows)
-
-
-def _complex_matrices(value, where):
-    if not isinstance(value, list):
-        raise ValidationError(f"{where}: expected a list of matrices")
-    return tuple(_complex_matrix(mat, f"{where}[{k}]") for k, mat in enumerate(value))
 
 
 # The sections of a definition file, and the [re, im] reader of each
@@ -106,7 +96,7 @@ def _complex_matrices(value, where):
 _SECTIONS = {"system": SystemModel, "control_law": ControlLaw, "run": RunParams}
 _COMPLEX_READERS = {
     "free_hamiltonian": _complex_matrix,
-    "controls": _complex_matrices,
+    "controls": lambda value, where: require_list(value, where, "matrices", _complex_matrix),
     "observable": _complex_matrix,
     "target": _complex_vector,
     "initial_state": _complex_vector,
@@ -148,11 +138,7 @@ def _parse_definition(data):
     _require_object(data, _SECTIONS, _SECTIONS, "definition")
     model, law, params = (_read(cls, data[key], key) for key, cls in _SECTIONS.items())
     # rules of the file format, or that span two sections
-    if model.measurement_strength <= 0.0:
-        raise ValidationError(
-            "system.measurement_strength: must be positive in a definition file, "
-            f"got {model.measurement_strength}"
-        )
+    require_number(model.measurement_strength, "system.measurement_strength", above=0.0)
     law.require_positive_gains()
     law.require_matching(model)
     if params.initial_state is not None:

@@ -10,6 +10,7 @@ from .errors import ValidationError
 from .quantum import (
     as_complex_vector,
     require_hermitian,
+    require_list,
     require_number,
     require_state_vector,
     require_traceless_hermitian,
@@ -27,10 +28,11 @@ class SystemModel:
     """An n-level system under continuous measurement with affine control.
 
     free_hamiltonian and every control generator must be Hermitian and
-    traceless (within 1e-12); the observable must be Hermitian; the target
-    must be a unit vector (within 1e-9). measurement_strength k >= 0 and
-    hbar > 0. k = 0 (the no-measurement limit) is permitted here so degenerate
-    reference dynamics can be built; file loading enforces k > 0.
+    traceless (within 1e-12), with the controls in a list or tuple; the
+    observable must be Hermitian; the target must be a unit vector (within
+    1e-9). measurement_strength k >= 0 and hbar > 0. k = 0 (the no-measurement
+    limit) is permitted here so degenerate reference dynamics can be built;
+    file loading enforces k > 0.
     """
 
     free_hamiltonian: np.ndarray
@@ -41,13 +43,9 @@ class SystemModel:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.controls, (list, tuple, np.ndarray)):
-            raise ValidationError(f"controls: expected a list of matrices, got {self.controls!r}")
         h0 = _frozen(require_traceless_hermitian(self.free_hamiltonian, "free_hamiltonian"))
-        ctrls = tuple(
-            _frozen(require_traceless_hermitian(c, f"controls[{i}]"))
-            for i, c in enumerate(self.controls)
-        )
+        ctrls = require_list(self.controls, "controls", "matrices", require_traceless_hermitian)
+        ctrls = tuple(_frozen(c) for c in ctrls)
         x = _frozen(require_hermitian(self.observable, "observable"))
         psi_f = _frozen(require_state_vector(self.target, "target"))
 
@@ -57,12 +55,8 @@ class SystemModel:
         ]:
             if mat.shape != (n, n):
                 raise ValidationError(f"{name}: shape {mat.shape} does not match system dimension {n}")
-        strength = require_number(self.measurement_strength, "measurement_strength")
-        if strength < 0.0:
-            raise ValidationError(f"measurement_strength: must be >= 0, got {strength}")
-        hbar = require_number(self.hbar, "hbar")
-        if hbar <= 0.0:
-            raise ValidationError(f"hbar: must be > 0, got {hbar}")
+        strength = require_number(self.measurement_strength, "measurement_strength", at_least=0.0)
+        hbar = require_number(self.hbar, "hbar", above=0.0)
 
         object.__setattr__(self, "free_hamiltonian", h0)
         object.__setattr__(self, "controls", ctrls)
@@ -105,9 +99,9 @@ class SystemModel:
 class ControlLaw:
     """Feedback gains and the phase-lock tolerance of the control law.
 
-    Construction checks only that the gains are finite numbers, since
-    adversarial studies build laws with non-positive gains to watch the
-    closed loop misbehave. Call require_positive_gains() (done by file
+    Construction checks only that the gains are a list or tuple of finite
+    numbers, since adversarial studies build laws with non-positive gains
+    to watch the closed loop misbehave. Call require_positive_gains() (done by file
     loading and the CLI) to enforce the stabilizing-law invariant gains > 0.
     """
 
@@ -115,12 +109,8 @@ class ControlLaw:
     phase_tol: float = 1e-12
 
     def __post_init__(self):
-        if not isinstance(self.gains, (list, tuple, np.ndarray)):
-            raise ValidationError(f"gains: expected a list of numbers, got {self.gains!r}")
-        gains = tuple(require_number(g, f"gains[{k}]") for k, g in enumerate(self.gains))
-        tol = require_number(self.phase_tol, "phase_tol")
-        if tol <= 0.0:
-            raise ValidationError(f"phase_tol: must be > 0, got {tol}")
+        gains = require_list(self.gains, "gains", "numbers", require_number)
+        tol = require_number(self.phase_tol, "phase_tol", above=0.0)
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "phase_tol", tol)
 

@@ -4,7 +4,8 @@ States are complex unit vectors in C^n, observables are n x n Hermitian
 matrices, both held as plain numpy arrays. Physical states are identified
 up to a global phase, so distances and membership tests are phase
 invariant. Everything here is a pure function over those arrays, beside
-the one number rule and the one integer rule every scalar input meets.
+the rules every argument meets, one per kind (number with optional bounds,
+integer, list), so a file field, a CLI flag and a library argument fail alike.
 """
 
 from __future__ import annotations
@@ -24,16 +25,28 @@ EIGENSTATE_TOL = 1e-9
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
-def require_number(value, name):
-    """Return value as a float, raising unless it is a finite int or float (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES):
+def require_number(value, name, above=None, at_least=None, below=None):
+    """Return value as a float, raising unless it is a finite int or float (not a bool).
+
+    Each bound given must hold too: value > above, value >= at_least, value < below.
+    """
+    if value.__class__ is float:  # the common case, spared the type tests that cost the most here
+        number = value
+    elif isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES):
         raise ValidationError(f"{name}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
+    else:
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
     if not math.isfinite(number):
         raise ValidationError(f"{name}: expected a finite number, got {value!r}")
+    if above is not None and number <= above:
+        raise ValidationError(f"{name}: must be > {above:g}, got {number!r}")
+    if at_least is not None and number < at_least:
+        raise ValidationError(f"{name}: must be >= {at_least:g}, got {number!r}")
+    if below is not None and number >= below:
+        raise ValidationError(f"{name}: must be < {below:g}, got {number!r}")
     return number
 
 
@@ -44,6 +57,19 @@ def require_int(value, name, minimum=0):
     return int(value)
 
 
+def require_list(value, name, what, check):
+    """Return tuple(check(v, f"{name}[{k}]") for each entry v), raising unless value is a list or tuple.
+
+    A numpy array is not a list here. Callers refuse an empty list themselves.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name}: expected a list of {what}, got {value!r}")
+    checked = []
+    for k, v in enumerate(value):  # a loop: before Python 3.12 a comprehension adds a frame per call
+        checked.append(check(v, f"{name}[{k}]"))
+    return tuple(checked)
+
+
 def _complex_array(value, name):
     try:
         return np.asarray(value, dtype=np.complex128)
@@ -51,25 +77,25 @@ def _complex_array(value, name):
         raise ValidationError(f"{name}: expected numbers, got {type(value).__name__}") from None
 
 
-def as_complex_vector(vec, name="state"):
-    """Coerce to a 1-D complex128 array without normalizing."""
-    arr = _complex_array(vec, name)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValidationError(
-            f"{name}: expected a complex vector of length >= 2, got shape {arr.shape}"
-        )
-    return arr
-
-
 def _require_finite(arr, name):
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name}: entries must be finite")
 
 
+def as_complex_vector(vec, name="state"):
+    """Coerce to a finite 1-D complex128 array without normalizing."""
+    arr = _complex_array(vec, name)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValidationError(
+            f"{name}: expected a complex vector of length >= 2, got shape {arr.shape}"
+        )
+    _require_finite(arr, name)
+    return arr
+
+
 def require_state_vector(vec, name="state"):
     """Return vec as a complex array, raising unless finite with norm 1 within STATE_NORM_TOL."""
     arr = as_complex_vector(vec, name)
-    _require_finite(arr, name)
     # entries near the float limit overflow to an inf norm, which fails below
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(arr))
@@ -94,9 +120,9 @@ def require_hermitian(mat, name="operator"):
 def require_traceless_hermitian(mat, name="operator"):
     """Hermitian check plus |trace| <= TRACE_TOL (membership in i*su(n) directions)."""
     arr = require_hermitian(mat, name)
-    # a sum of huge entries is inf, or nan where +inf and -inf partial sums meet
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr = complex(np.trace(arr))
+    # summed as Python complex numbers: a sum of huge entries is inf, or nan where
+    # +inf and -inf partial sums meet, with no numpy warning to silence
+    tr = sum(arr.diagonal().tolist())
     if not abs(tr) <= TRACE_TOL:
         raise ValidationError(f"{name}: trace {tr:.3g} is not 0 within {TRACE_TOL:g}")
     return arr
@@ -132,13 +158,18 @@ def expectation_value(state, op):
     return raw.real
 
 
-def fidelity(state, target):
-    """|<target|state>|^2."""
+def _overlap(state, target):
+    """|<target|state>|, raising unless both are finite complex vectors of one dimension."""
     psi = as_complex_vector(state)
     phi = as_complex_vector(target, "target")
     if phi.size != psi.size:
         raise ValidationError("state and target dimensions differ")
-    return float(abs(np.vdot(phi, psi)) ** 2)
+    return abs(np.vdot(phi, psi))
+
+
+def fidelity(state, target):
+    """|<target|state>|^2."""
+    return float(_overlap(state, target) ** 2)
 
 
 def equivalence_distance(state, target):
@@ -148,12 +179,7 @@ def equivalence_distance(state, target):
     lies in [0, sqrt(2)] and is invariant under a phase change of either
     argument.
     """
-    psi = as_complex_vector(state)
-    phi = as_complex_vector(target, "target")
-    if phi.size != psi.size:
-        raise ValidationError("state and target dimensions differ")
-    overlap = abs(np.vdot(phi, psi))
-    return float(np.sqrt(max(2.0 - 2.0 * overlap, 0.0)))
+    return float(np.sqrt(max(2.0 - 2.0 * _overlap(state, target), 0.0)))
 
 
 def eigenstate_eigenvalue(state, op):

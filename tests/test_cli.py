@@ -267,6 +267,29 @@ def test_usage_and_missing_definition(capsys):
     assert "no such file or bundled fixture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ensemble", "qubit", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["simulate", "qubit", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["simulate", "qubit", "--dt", "0"], "dt: must be > 0, got 0.0"),
+        (["simulate", "qubit", "--t-final", "-1"], "t_final: must be >= 0, got -1.0"),
+        (["ensemble", "qubit", "--trials", "0"], "trials must be an integer >= 1, got 0"),
+        (["report", "qubit", "--trials", "0"], "trials must be an integer >= 1, got 0"),
+    ],
+    ids=[
+        "ensemble-seed", "simulate-seed", "simulate-dt", "simulate-t-final", "ensemble-trials", "report-trials"
+    ],
+)
+def test_run_flags_are_refused_like_file_fields(tmp_path, capsys, argv, message):
+    # a flag takes the place of its run field and meets that field's rule; a
+    # negative --seed used to be refused as the library's base_seed
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _parses_as_number(text):
     try:
         float(text)

@@ -1,26 +1,42 @@
 """State/operator primitives: validation, distances, eigenstates, completions."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from qlyap import (
+    ControlLaw,
     ValidationError,
+    control_signals,
+    drift,
     eigenstate_eigenvalue,
     equivalence_distance,
+    euler_maruyama_step,
     expectation_value,
     fidelity,
+    invariance_probe,
+    invariant_set_slice,
+    lyapunov_value,
+    min_lyapunov_at_distance,
     normalize,
     orthonormal_completion,
+    run_ensemble,
+    shifted_controls_independent,
+    simulate_trajectory,
+    stability_bound_test,
 )
 from qlyap.quantum import (
     require_hermitian,
     require_int,
+    require_list,
     require_number,
     require_state_vector,
     require_traceless_hermitian,
 )
 
-from conftest import random_hermitian, random_state
+from conftest import QUBIT_PSI0, qubit_model, random_hermitian, random_state
 
 
 def test_number_rule_takes_finite_ints_and_floats_only():
@@ -40,6 +56,121 @@ def test_number_rule_takes_finite_ints_and_floats_only():
     ):
         with pytest.raises(ValidationError, match=f"^x: {match}"):
             require_number(bad, "x")
+
+
+def test_number_rule_checks_each_bound_with_one_message_shape():
+    assert require_number(0.0, "x", at_least=0.0) == 0.0
+    assert require_number(np.int64(1), "x", above=0.0, below=2.0) == 1.0
+    for kwargs, bad, message in (
+        ({"above": 0.0}, 0.0, "x: must be > 0, got 0.0"),
+        ({"above": 0.0}, -1, "x: must be > 0, got -1.0"),
+        ({"at_least": 0.0}, -0.5, "x: must be >= 0, got -0.5"),
+        ({"above": 0.0, "below": 2.0}, 2.0, "x: must be < 2, got 2.0"),
+        ({"above": 0.0, "below": 2.0}, np.float64(3.0), "x: must be < 2, got 3.0"),
+        # the number rule comes first: a bound never sees NaN or a non-number
+        ({"above": 0.0}, float("nan"), "x: expected a finite number, got nan"),
+        ({"below": 2.0}, True, "x: expected a number, got True"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            require_number(bad, "x", **kwargs)
+
+
+def test_list_rule_takes_lists_and_tuples_only_and_names_each_entry():
+    assert require_list([1, 2.5], "xs", "numbers", require_number) == (1.0, 2.5)
+    assert require_list((), "xs", "numbers", require_number) == ()
+    for bad in (0.5, "ab", {"a": 1}, np.array([1.0, 2.0]), None):
+        with pytest.raises(ValidationError, match=r"^xs: expected a list of numbers, got "):
+            require_list(bad, "xs", "numbers", require_number)
+    with pytest.raises(ValidationError, match=r"^xs\[1\]: expected a number, got 'a'$"):
+        require_list([1.0, "a"], "xs", "numbers", require_number)
+
+
+def _qubit_call(call):
+    model, law = qubit_model(), ControlLaw(gains=(1.0,))
+    return lambda bad: call(model, law, bad)
+
+
+# One row per library call: the call, the malformed value, the exception and
+# the start of its message. Each argument is refused by the rule of its kind
+# in quantum, under the name the caller gave it.
+@pytest.mark.parametrize(
+    "call, bad, error, prefix",
+    [
+        (_qubit_call(lambda q, law, s: lyapunov_value(s, q.target)), [np.nan, 1.0], ValidationError,
+         "state: entries must be finite"),
+        (_qubit_call(lambda q, law, s: control_signals(q, law, s)), [np.nan, 1.0], ValidationError,
+         "state: entries must be finite"),
+        (_qubit_call(lambda q, law, s: drift(q, [0.0], s)), [np.inf, 1.0], ValidationError,
+         "state: entries must be finite"),
+        (_qubit_call(lambda q, law, x: invariant_set_slice(q, x)), [np.nan], ValidationError,
+         "shifts[0]: expected a finite number, got nan"),
+        (_qubit_call(lambda q, law, x: invariant_set_slice(q, x)), [np.inf], ValidationError,
+         "shifts[0]: expected a finite number, got inf"),
+        (_qubit_call(lambda q, law, x: invariant_set_slice(q, x)), ["a"], ValidationError,
+         "shifts[0]: expected a number, got 'a'"),
+        (_qubit_call(lambda q, law, x: shifted_controls_independent(q, x)), [np.nan], ValidationError,
+         "shifts[0]: expected a finite number, got nan"),
+        (_qubit_call(lambda q, law, x: shifted_controls_independent(q, x)), np.array([[0.1]]),
+         ValidationError, "shifts must have shape (1,), got (1, 1)"),
+        (_qubit_call(lambda q, law, dw: euler_maruyama_step(q, law, q.target, 0.01, dw)), [1.0, 2.0],
+         ValidationError, "dw: expected a number, got [1.0, 2.0]"),
+        (_qubit_call(lambda q, law, dw: euler_maruyama_step(q, law, q.target, 0.01, dw)), "x",
+         ValidationError, "dw: expected a number, got 'x'"),
+        (_qubit_call(lambda q, law, dt: simulate_trajectory(q, law, QUBIT_PSI0, dt, 0.1, 0)), 0.0,
+         ValidationError, "dt: must be > 0, got 0.0"),
+        (_qubit_call(lambda q, law, t: simulate_trajectory(q, law, QUBIT_PSI0, 0.01, t, 0)), -1,
+         ValidationError, "t_final: must be >= 0, got -1.0"),
+        (_qubit_call(lambda q, law, t: invariance_probe(q, law, [q.target], 0.01, t, 2, 0)), -1,
+         ValidationError, "t_probe: must be >= 0, got -1.0"),
+        (_qubit_call(lambda q, law, r: stability_bound_test(
+            q, law, r, (0.1,), 2, dt=0.01, t_final=0.1, base_seed=0)), 3.0,
+         ValidationError, "radius: must be < 2, got 3.0"),
+        (_qubit_call(lambda q, law, s: stability_bound_test(
+            q, law, 0.5, s, 2, dt=0.01, t_final=0.1, base_seed=0)), (0.1, -0.1),
+         ValidationError, "perturbation_sizes[1]: must be >= 0, got -0.1"),
+        (lambda r: min_lyapunov_at_distance(r), 2.0, ValidationError, "radius: must be < 2, got 2.0"),
+        (lambda r: min_lyapunov_at_distance(r), 0, ValidationError, "radius: must be > 0, got 0.0"),
+        (_qubit_call(lambda q, law, r: run_ensemble(q, law, QUBIT_PSI0, 0.01, 0.1, 1, 0, r_list=r)),
+         (0.5, 2.0), ValidationError, "r_list[1]: must be < 2, got 2.0"),
+        (_qubit_call(lambda q, law, c: dataclasses.replace(q, controls=c)),
+         np.array([[[0.0, 1.0], [1.0, 0.0]]]), ValidationError, "controls: expected a list of matrices"),
+        (lambda g: ControlLaw(gains=g), np.array([1.0]), ValidationError, "gains: expected a list of numbers"),
+        (lambda tol: ControlLaw(gains=(1.0,), phase_tol=tol), 0.0, ValidationError,
+         "phase_tol: must be > 0, got 0.0"),
+        (_qubit_call(lambda q, law, h: dataclasses.replace(q, hbar=h)), -1.0, ValidationError,
+         "hbar: must be > 0, got -1.0"),
+        (_qubit_call(lambda q, law, k: dataclasses.replace(q, measurement_strength=k)), -1.0,
+         ValidationError, "measurement_strength: must be >= 0, got -1.0"),
+    ],
+    ids=[
+        "nan-state-lyapunov",
+        "nan-state-controls",
+        "inf-state-drift",
+        "nan-shift",
+        "inf-shift",
+        "str-shift",
+        "nan-shift-independence",
+        "matrix-shifts",
+        "list-dw",
+        "str-dw",
+        "zero-dt",
+        "negative-t_final",
+        "negative-t_probe",
+        "radius-3-stability",
+        "negative-size",
+        "radius-2-floor",
+        "radius-0-floor",
+        "radius-2-r_list",
+        "array-controls",
+        "array-gains",
+        "zero-phase_tol",
+        "negative-hbar",
+        "negative-strength",
+    ],
+)
+def test_library_calls_refuse_malformed_arguments(call, bad, error, prefix):
+    with pytest.raises(error, match=f"^{re.escape(prefix)}"):
+        call(bad)
 
 
 def test_integer_rule_takes_integers_from_the_minimum_only():

@@ -1,7 +1,7 @@
 """Source hygiene: every import in a qlyap module is used there, every
 module-level private name is used somewhere in the package, only
-`quantum` writes a number or integer rule, and every tool makes one
-call of the seeded-trials driver."""
+`quantum` writes a number, integer, bound or list rule, and every tool
+makes one call of the seeded-trials driver."""
 
 import ast
 from pathlib import Path
@@ -76,11 +76,12 @@ def test_no_module_keeps_an_unused_private_name():
     assert not leftovers, "private names nothing uses:\n" + "\n".join(leftovers)
 
 
-def _bool_checks(tree):
+def _type_checks(tree, names):
+    """Lines of the isinstance calls in tree that test for one of the types in names."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
             kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
-            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+            if any(getattr(kind, "id", None) in names for kind in kinds):
                 yield node.lineno
 
 
@@ -91,10 +92,55 @@ def test_only_quantum_tells_a_bool_from_a_number():
         f"{name}:{line}"
         for name, tree in _trees().items()
         if name != "quantum.py"
-        for line in _bool_checks(tree)
+        for line in _type_checks(tree, {"bool"})
     ]
     assert not found, "isinstance(..., bool) outside quantum.py:\n" + "\n".join(found)
-    assert list(_bool_checks(_trees()["quantum.py"])), "the rules in quantum.py were not seen"
+    assert list(_type_checks(_trees()["quantum.py"], {"bool"})), "the rules in quantum.py were not seen"
+
+
+def test_only_quantum_tells_a_list_from_a_non_list():
+    # require_list is the one list rule; io.to_jsonable, which encodes
+    # values rather than checking arguments, is the one exemption
+    trees = _trees()
+    encoder = next(f for f in trees["io.py"].body if getattr(f, "name", None) == "to_jsonable")
+    exempt = range(encoder.lineno, encoder.end_lineno + 1)
+    found = [
+        f"{name}:{line}"
+        for name, tree in trees.items()
+        if name != "quantum.py"
+        for line in _type_checks(tree, {"list", "tuple"})
+        if not (name == "io.py" and line in exempt)
+    ]
+    assert not found, "isinstance(..., list or tuple) outside quantum.py:\n" + "\n".join(found)
+    assert list(_type_checks(trees["quantum.py"], {"list", "tuple"})), "the list rule was not seen"
+
+
+_BOUND_WORDS = ("must be >", "must be <", "positive", "nonnegative", "must lie in")
+
+
+def _raised_text(tree):
+    """(line, text) of each string constant in the exception of a raise statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for part in ast.walk(node.exc):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    yield node.lineno, part.value
+
+
+def test_no_bound_message_outside_quantum():
+    # a numeric bound is stated by require_number's above / at_least / below
+    # (or require_int's minimum), so each bound has one message shape
+    found = [
+        f"{name}:{line}: {text!r}"
+        for name, tree in _trees().items()
+        if name != "quantum.py"
+        for line, text in _raised_text(tree)
+        if any(word in text for word in _BOUND_WORDS)
+    ]
+    assert not found, "bound messages outside quantum.py:\n" + "\n".join(found)
+    assert any(
+        word in text for _, text in _raised_text(_trees()["quantum.py"]) for word in _BOUND_WORDS
+    ), "the bound messages in quantum.py were not seen"
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
