@@ -29,6 +29,7 @@ def require_number(value, name, above=None, at_least=None, below=None):
     """Return value as a float, raising unless it is a finite int or float (not a bool).
 
     Each bound given must hold too: value > above, value >= at_least, value < below.
+    above and below together are one open interval, with one message for either side.
     """
     if value.__class__ is float:  # the common case, spared the type tests that cost the most here
         number = value
@@ -41,6 +42,8 @@ def require_number(value, name, above=None, at_least=None, below=None):
             number = math.inf
     if not math.isfinite(number):
         raise ValidationError(f"{name}: expected a finite number, got {value!r}")
+    if above is not None and below is not None and not above < number < below:
+        raise ValidationError(f"{name}: must lie in ({above:g}, {below:g}), got {number!r}")
     if above is not None and number <= above:
         raise ValidationError(f"{name}: must be > {above:g}, got {number!r}")
     if at_least is not None and number < at_least:

@@ -37,7 +37,7 @@ def test_min_lyapunov_at_distance_formula():
     # beyond sqrt(2) no state is that far away; the floor saturates at max V
     assert min_lyapunov_at_distance(1.5) == 0.5
     assert min_lyapunov_at_distance(1.999) == 0.5
-    with pytest.raises(ValidationError, match=r"^radius: must be < 2, got 2\.0"):
+    with pytest.raises(ValidationError, match=r"^radius: must lie in \(0, 2\), got 2\.0"):
         min_lyapunov_at_distance(2.0)
     # not a number: a bare TypeError or ValueError from float(), or True taken as 1.0
     for bad in (None, "0.5", True):

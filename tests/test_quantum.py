@@ -65,8 +65,10 @@ def test_number_rule_checks_each_bound_with_one_message_shape():
         ({"above": 0.0}, 0.0, "x: must be > 0, got 0.0"),
         ({"above": 0.0}, -1, "x: must be > 0, got -1.0"),
         ({"at_least": 0.0}, -0.5, "x: must be >= 0, got -0.5"),
-        ({"above": 0.0, "below": 2.0}, 2.0, "x: must be < 2, got 2.0"),
-        ({"above": 0.0, "below": 2.0}, np.float64(3.0), "x: must be < 2, got 3.0"),
+        ({"above": 0.0, "below": 2.0}, 2.0, "x: must lie in (0, 2), got 2.0"),
+        ({"above": 0.0, "below": 2.0}, np.float64(3.0), "x: must lie in (0, 2), got 3.0"),
+        ({"above": 0.0, "below": 2.0}, 0, "x: must lie in (0, 2), got 0.0"),
+        ({"below": 2.0}, 2.0, "x: must be < 2, got 2.0"),
         # the number rule comes first: a bound never sees NaN or a non-number
         ({"above": 0.0}, float("nan"), "x: expected a finite number, got nan"),
         ({"below": 2.0}, True, "x: expected a number, got True"),
@@ -124,14 +126,14 @@ def _qubit_call(call):
          ValidationError, "t_probe: must be >= 0, got -1.0"),
         (_qubit_call(lambda q, law, r: stability_bound_test(
             q, law, r, (0.1,), 2, dt=0.01, t_final=0.1, base_seed=0)), 3.0,
-         ValidationError, "radius: must be < 2, got 3.0"),
+         ValidationError, "radius: must lie in (0, 2), got 3.0"),
         (_qubit_call(lambda q, law, s: stability_bound_test(
             q, law, 0.5, s, 2, dt=0.01, t_final=0.1, base_seed=0)), (0.1, -0.1),
          ValidationError, "perturbation_sizes[1]: must be >= 0, got -0.1"),
-        (lambda r: min_lyapunov_at_distance(r), 2.0, ValidationError, "radius: must be < 2, got 2.0"),
-        (lambda r: min_lyapunov_at_distance(r), 0, ValidationError, "radius: must be > 0, got 0.0"),
+        (lambda r: min_lyapunov_at_distance(r), 2.0, ValidationError, "radius: must lie in (0, 2), got 2.0"),
+        (lambda r: min_lyapunov_at_distance(r), 0, ValidationError, "radius: must lie in (0, 2), got 0.0"),
         (_qubit_call(lambda q, law, r: run_ensemble(q, law, QUBIT_PSI0, 0.01, 0.1, 1, 0, r_list=r)),
-         (0.5, 2.0), ValidationError, "r_list[1]: must be < 2, got 2.0"),
+         (0.5, 2.0), ValidationError, "r_list[1]: must lie in (0, 2), got 2.0"),
         (_qubit_call(lambda q, law, c: dataclasses.replace(q, controls=c)),
          np.array([[[0.0, 1.0], [1.0, 0.0]]]), ValidationError, "controls: expected a list of matrices"),
         (lambda g: ControlLaw(gains=g), np.array([1.0]), ValidationError, "gains: expected a list of numbers"),
