@@ -11,7 +11,11 @@ feedback amplitudes are evaluated on the pre-step state and held constant
 across the step (zero-order hold). Noise comes from a counter-based
 generator (Philox) so every trajectory is reproducible from its seed;
 wiener_blocks() streams the same increments for a batch of seeds in
-fixed time blocks, so no caller holds a whole (rows, steps) array.
+fixed time blocks, so no caller holds a whole (rows, steps) array. A
+Philox stream is fixed by its 128-bit key, which numpy derives from the
+seed through its SeedSequence hash; wiener_blocks computes the keys of a
+whole batch in one vectorized pass of that hash (_philox_keys) and
+re-keys idle generators with them instead of building one per seed.
 
 The step kernel (_Stepper) holds a batch as one real block of shape
 (2n, B), real parts of the components above imaginary parts, one
@@ -34,16 +38,90 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, PreconditionError, ValidationError
-from .quantum import require_int, require_number, require_state_vector
+from .quantum import _require_finite, require_int, require_number, require_state_vector
 
 NORM_COLLAPSE_TOL = 1e-6
 NOISE_BLOCK = 256
 # _step_count refuses runs longer than this many steps (1000x the bundled default)
 MAX_STEPS = 10**7
+# numpy's SeedSequence hash, pool size 4 (see _philox_keys)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# a seed from here on has a fifth 32-bit word, which SeedSequence mixes past its pool
+_HASHED_SEEDS = 1 << 128
+# Generator(Philox) objects that no live wiener_blocks iterator holds
+_IDLE = []
 
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _hasher(init, mult):
+    """SeedSequence's hash step over uint32 arrays; its constant advances with every call."""
+    const = init
+
+    def hash_(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    return hash_
+
+
+def _philox_keys(seeds):
+    """The Philox key Generator(Philox(seed)) starts with, as a (B, 2) uint64 array, one row per seed.
+
+    Philox(seed) takes its key from numpy's SeedSequence(seed): mix_entropy
+    over the seed's 32-bit words, least significant first and zeros past
+    its length up to the pool size of 4, then generate_state(2, uint64).
+    This is that hash in uint32 array arithmetic, one pass over the whole
+    batch. The rows of seeds >= 2**128, which have more words, are not
+    their keys.
+    """
+    data = b"".join((s if s < _HASHED_SEEDS else 0).to_bytes(16, "little") for s in seeds)
+    words = np.frombuffer(data, dtype="<u4").reshape(-1, 4).T
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst]
+                mixed -= np.uint32(_MIX_MULT_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ mixed >> np.uint32(16)
+    state = [v.astype(np.uint64) for v in map(_hasher(_INIT_B, _MULT_B), pool)]
+    return np.stack((state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)), axis=1)
+
+
+def _generators(seeds):
+    """One Generator(Philox) per seed, each in the state Generator(Philox(seed)) starts in.
+
+    Idle generators are re-keyed, and a new one is built only when the
+    idle list runs out, so the list never holds more generators than the
+    live iterators held at once.
+    """
+    rngs = []
+    for seed, key in zip(seeds, _philox_keys(seeds).tolist()):
+        if seed >= _HASHED_SEEDS:  # beyond the one-pass hash: numpy's own
+            key = np.random.Philox(seed).state["state"]["key"].tolist()
+        try:  # one pop, not a test and a pop: another thread may take the last one between them
+            rng = _IDLE.pop()
+        except IndexError:
+            rng = _rng(0)
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,  # the buffer is spent: the first draw runs the counter from 0
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rngs.append(rng)
+    return rngs
 
 
 def _require_dt(dt):
@@ -51,11 +129,10 @@ def _require_dt(dt):
 
 
 def _require_noise_args(seeds, steps, dt):
-    """Check dt and every seed, and return steps as an int."""
+    """Check dt and every seed; return the seeds as a list of ints and steps as an int."""
     _require_dt(dt)
-    for seed in seeds:
-        require_int(seed, "seed")
-    return require_int(steps, "steps")
+    seeds = [require_int(seed, "seed") for seed in seeds]
+    return seeds, require_int(steps, "steps")
 
 
 @dataclass(frozen=True)
@@ -72,7 +149,7 @@ class WienerPath:
 
     @classmethod
     def generate(cls, seed, steps, dt):
-        steps = _require_noise_args((seed,), steps, dt)
+        _, steps = _require_noise_args((seed,), steps, dt)
         inc = _rng(seed).normal(0.0, np.sqrt(dt), steps)
         inc.setflags(write=False)
         return cls(seed=int(seed), dt=float(dt), increments=inc)
@@ -98,18 +175,27 @@ def wiener_blocks(seeds, steps, dt):
     for a shorter last block, whose concatenation along axis 1 bit-equals
     the stacked paths: each row draws from its own Philox stream, and a
     stream drawn in slices yields the same normals as one draw. The
-    arguments are checked here, before any block is drawn.
+    arguments are checked here, before any block is drawn. The iterator
+    holds its generators from its first block until it is exhausted,
+    closed or dropped, and then returns them to the idle list.
     """
-    steps = _require_noise_args(seeds, steps, dt)
-    return _wiener_blocks([_rng(seed) for seed in seeds], steps, np.sqrt(dt))
+    seeds, steps = _require_noise_args(seeds, steps, dt)
+    return _wiener_blocks(seeds, steps, np.sqrt(dt))
 
 
-def _wiener_blocks(rngs, steps, scale):
-    for lo in range(0, steps, NOISE_BLOCK):
-        block = np.empty((len(rngs), min(NOISE_BLOCK, steps - lo)))
-        for row, rng in zip(block, rngs):
-            row[:] = rng.normal(0.0, scale, row.size)
-        yield block
+def _wiener_blocks(seeds, steps, scale):
+    rngs = []
+    try:
+        rngs = _generators(seeds)
+        for lo in range(0, steps, NOISE_BLOCK):
+            block = np.empty((len(rngs), min(NOISE_BLOCK, steps - lo)))
+            for row, rng in zip(block, rngs):
+                rng.standard_normal(out=row)
+            # bit-equal to normal(0.0, scale), which returns 0.0 + scale * z
+            block *= scale
+            yield block
+    finally:
+        _IDLE.extend(rngs)
 
 
 def drift(model, controls_now, state):
@@ -240,15 +326,15 @@ class _Stepper:
         im /= mag
         return fid, x_mean, self.gains * im, p
 
-    def step(self, f, dw):
-        """One EM step for every column. Returns (f_next, fid, x_mean, u, norms, ok).
+    def step(self, f, noise):
+        """One EM step for every column, noise holding each column's sqrt(2 k) dW.
 
-        Columns whose raw update norm falls below NORM_COLLAPSE_TOL are left
-        at their pre-step value (normalized) and flagged through `ok`; the
-        caller decides whether to raise or mask.
+        Returns (f_next, fid, x_mean, u, norms, ok). Columns whose raw
+        update norm falls below NORM_COLLAPSE_TOL are left at their
+        pre-step value (normalized) and flagged through `ok`; the caller
+        decides whether to raise or mask.
         """
         fid, x_mean, u, p = self.diagnostics(f)
-        noise = self.sqrt2k * dw
         c_x = 2.0 * self.k_dt * x_mean + noise
         c_psi = (self.k_dt * x_mean + noise) * x_mean
         raw = c_x * p[self.x_rows]
@@ -269,7 +355,9 @@ class _Stepper:
         """Propagate the columns of the block f0 through the increment blocks, yielding each state.
 
         blocks is an iterable of (B, s) increment arrays, one column per
-        step; `steps` is the total of their widths. Yields
+        step; `steps` is the total of their widths. Each block is scaled by
+        sqrt(2 k) once, into one C-contiguous (s, B) array whose rows are
+        the steps' noise. Yields
         (i, F, fid, x_mean, u, norms, ok) for i = 0 .. steps: the (2n, B)
         block at step i with its diagnostics and, for i < steps, that
         step's raw update norms and non-collapse flags. At i = steps (the
@@ -281,20 +369,14 @@ class _Stepper:
         f = _two_columns(np.array(f0, dtype=np.float64, order="C"))
         i = 0
         for block in blocks:
-            for dw in _two_columns(np.asarray(block).T):
-                f_next, fid, x_mean, u, norms, ok = self.step(f, dw)
+            for noise in _two_columns(np.multiply(np.asarray(block).T, self.sqrt2k, order="C")):
+                f_next, fid, x_mean, u, norms, ok = self.step(f, noise)
                 yield i, f[:, cols], fid[cols], x_mean[cols], u[:, cols], norms[cols], ok[cols]
                 f = f_next
                 i += 1
+            noise = None  # a row view keeps the scaled block alive while the next one is drawn
         fid, x_mean, u, _ = self.diagnostics(f)
         yield i, f[:, cols], fid[cols], x_mean[cols], u[:, cols], None, None
-
-
-def _require_finite_increments(values, name):
-    """Raise ValidationError naming the first non-finite entry of the 1-D array `values`."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValidationError(f"{name}[{bad[0]}] must be finite, got {values[bad[0]]}")
 
 
 def euler_maruyama_step(model, law, state, dt, dw):
@@ -316,10 +398,11 @@ def euler_maruyama_step_many(model, law, states, dt, dws):
     dws = np.asarray(dws, dtype=float)
     if dws.shape != (psi.shape[0],):
         raise ValidationError("dws must have one increment per state row")
-    _require_finite_increments(dws, "dws")
+    _require_finite(dws, "dws")
     stepper = _Stepper(model, law, dt)
     b = psi.shape[0]
-    f, _, _, _, norms, ok = stepper.step(_two_columns(_to_block(psi)), _two_columns(dws))
+    noise = _two_columns(stepper.sqrt2k * dws)
+    f, _, _, _, norms, ok = stepper.step(_two_columns(_to_block(psi)), noise)
     if not ok.all():
         bad = int(np.argmin(ok))
         raise IntegrationError(
@@ -384,7 +467,7 @@ def simulate_trajectory(model, law, psi0, dt, t_final, seed, increments=None):
         inc = np.asarray(increments, dtype=float)
         if inc.shape != (steps,):
             raise ValidationError(f"increments shape {inc.shape} does not match {steps} steps")
-        _require_finite_increments(inc, "increments")
+        _require_finite(inc, "increments")
 
     states = np.empty((steps + 1, 2 * model.n))
     fid = np.empty(steps + 1)

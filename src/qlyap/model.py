@@ -119,8 +119,8 @@ class ControlLaw:
         return len(self.gains)
 
     def require_positive_gains(self):
-        if any(g <= 0.0 for g in self.gains):
-            raise ValidationError(f"gains must all be > 0, got {self.gains}")
+        for k, g in enumerate(self.gains):
+            require_number(g, f"gains[{k}]", above=0.0)
         return self
 
     def require_matching(self, model):

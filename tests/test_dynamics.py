@@ -69,6 +69,44 @@ def test_wiener_blocks_match_generate(steps):
     assert np.array_equal(streamed, expected)
 
 
+# ranges straddling 2**32, 2**64 and 2**128, where a seed gains a 32-bit word, and
+# single seeds at 0, 2**31 and far beyond the one-pass hash
+@pytest.mark.parametrize(
+    "seeds",
+    [range(2**32 - 4, 2**32 + 4), range(2**64 - 4, 2**64 + 4), range(2**128 - 4, 2**128 + 4),
+     [0], [2**31], [2**200]],
+    ids=["2^32", "2^64", "2^128", "0", "2^31", "2^200"],
+)
+def test_wiener_blocks_match_generate_across_the_seed_range(seeds):
+    # each row's key comes from a vectorized port of numpy's SeedSequence
+    # hash; a numpy whose Philox(seed) keys differ fails here
+    steps = NOISE_BLOCK + 3
+    expected = np.stack([WienerPath.generate(seed, steps, 0.004).increments for seed in seeds])
+    for _ in range(2):  # the second pass re-keys the generators the first one returned
+        streamed = np.concatenate(list(wiener_blocks(seeds, steps, 0.004)), axis=1)
+        assert np.array_equal(streamed, expected)
+
+
+def test_live_wiener_blocks_iterators_never_share_a_generator():
+    # two iterators consumed in turn, a third abandoned after one block, and
+    # a fourth started after that: each yields the blocks it yields alone
+    steps, dt = 3 * NOISE_BLOCK, 0.01
+    ranges = (range(0, 6), range(50, 53), range(7, 12), range(300, 306))
+    alone = [np.concatenate(list(wiener_blocks(r, steps, dt)), axis=1) for r in ranges]
+    first, second, third = (wiener_blocks(r, steps, dt) for r in ranges[:3])
+    got = [[], []]
+    for k, pair in enumerate(zip(first, second)):
+        got[0].append(pair[0])
+        got[1].append(pair[1])
+        if k == 0:
+            assert np.array_equal(next(third), alone[2][:, :NOISE_BLOCK])
+            del third  # its generators return to the idle list, then go to the fourth
+            fourth = np.concatenate(list(wiener_blocks(ranges[3], steps, dt)), axis=1)
+    assert np.array_equal(fourth, alone[3])
+    for blocks, expected in zip(got, alone):
+        assert np.array_equal(np.concatenate(blocks, axis=1), expected)
+
+
 def test_seeds_and_step_counts_take_the_integer_rule():
     # a float seed used to reach SeedSequence's TypeError, and a float step
     # count was truncated
@@ -240,11 +278,11 @@ def test_non_finite_increments_rejected(bad):
     law = ControlLaw(gains=(1.0,))
     inc = np.zeros(10)
     inc[3] = bad
-    with pytest.raises(ValidationError, match=r"increments\[3\] must be finite"):
+    with pytest.raises(ValidationError, match="^increments: entries must be finite"):
         simulate_trajectory(model, law, QUBIT_PSI0, 0.01, 0.1, 1, increments=inc)
     with pytest.raises(ValidationError, match="^dw: expected a finite number"):
         euler_maruyama_step(model, law, QUBIT_PSI0, 0.01, bad)
-    with pytest.raises(ValidationError, match=r"dws\[1\] must be finite"):
+    with pytest.raises(ValidationError, match="^dws: entries must be finite"):
         euler_maruyama_step_many(model, law, np.stack([QUBIT_PSI0] * 3), 0.01, [0.0, bad, 0.0])
 
 

@@ -147,7 +147,7 @@ def _dump_dict(tmp_path):
             lambda d: d["system"]["free_hamiltonian"][1].pop(),
             r"system\.free_hamiltonian\[1\]: row length",
         ),
-        (lambda d: d["control_law"].update(gains=[0.7, -1.0]), r"gains must all be > 0"),
+        (lambda d: d["control_law"].update(gains=[0.7, -1.0]), r"gains\[1\]: must be > 0, got -1\.0"),
         (lambda d: d["control_law"].update(gains=[0.7]), r"1 gains but the model has 2"),
         (lambda d: d["run"].update(dt=0.0), r"run\.dt: must be > 0, got 0\.0"),
         (lambda d: d["run"].update(t_final=-1.0), r"run.t_final"),

@@ -1,7 +1,8 @@
 """Source hygiene: every import in a qlyap module is used there, every
 module-level private name is used somewhere in the package, only
-`quantum` writes a number, integer, bound or list rule, and every tool
-makes one call of the seeded-trials driver."""
+`quantum` writes a number, integer, bound or list rule, every tool
+makes one call of the seeded-trials driver, and the batch noise path
+builds no generator per row."""
 
 import ast
 from pathlib import Path
@@ -115,7 +116,7 @@ def test_only_quantum_tells_a_list_from_a_non_list():
     assert list(_type_checks(trees["quantum.py"], {"list", "tuple"})), "the list rule was not seen"
 
 
-_BOUND_WORDS = ("must be >", "must be <", "positive", "nonnegative", "must lie in")
+_BOUND_WORDS = ("must be >", "must be <", "must all be", "positive", "nonnegative", "must lie in")
 
 
 def _raised_text(tree):
@@ -171,3 +172,35 @@ def test_every_tool_calls_the_driver_once_outside_any_loop():
                 found += [f"{name}:{call.lineno}: _run_trials called in a loop" for call in _driver_calls(loop)]
     assert not found, "\n".join(found)
     assert callers == {"run_ensemble", "stability_bound_test", "invariance_probe"}, callers
+
+
+def _calls_by_function(callee_name):
+    """{(module, line): innermost function around it} for every call of a callee so named."""
+    found = {}
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):  # outer scopes come first, so inner ones overwrite them
+            if isinstance(node, ast.Module):
+                scope = "<module>"
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            else:
+                continue
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+                    if name == callee_name:
+                        found[(module, call.lineno)] = scope
+    return found
+
+
+def test_only_the_reference_path_builds_a_generator_from_a_seed():
+    # WienerPath.generate builds Generator(Philox(seed)), the reference the
+    # batch path is tested against; the batch path re-keys idle generators
+    # with keys hashed in one pass, and builds one only when the idle list
+    # runs out (_rng) or for a seed >= 2**128, beyond the hash (Philox)
+    rng_callers = _calls_by_function("_rng")
+    philox_callers = _calls_by_function("Philox")
+    assert set(rng_callers.values()) == {"generate", "_generators"}, rng_callers
+    assert set(philox_callers.values()) == {"_rng", "_generators"}, philox_callers
+    assert list(rng_callers.values()).count("_generators") == 1, rng_callers
+    assert list(philox_callers.values()).count("_generators") == 1, philox_callers
