@@ -13,17 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .quantum import eigenstate_eigenvalue, orthonormal_completion, require_int, require_number
+from .quantum import (
+    eigenstate_eigenvalue,
+    negligible,
+    operator_size,
+    orthonormal_completion,
+    require_int,
+    require_number,
+)
 
-RANK_TOL = 1e-9
-CLUSTER_REL_TOL = 1e-8
 SWEEP_PAD = 1.0
 # invariant_set_sweep holds per-node arrays over at least grid_points ** m nodes; beyond this many it refuses
 MAX_SWEEP_NODES = 10**6
-
-
-def _cluster_tol(eigenvalues):
-    return max(CLUSTER_REL_TOL * float(np.max(np.abs(eigenvalues), initial=0.0)), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def _eigenstate_finding(state, op, require_nondegenerate=False):
     if value is None:
         return EigenstateFinding(holds=False, eigenvalue=None, degeneracy=0)
     eigenvalues = np.linalg.eigvalsh(op)
-    degeneracy = int(np.sum(np.abs(eigenvalues - value) <= _cluster_tol(eigenvalues)))
+    degeneracy = int(np.count_nonzero(negligible(np.abs(eigenvalues - value), operator_size(op))))
     holds = degeneracy == 1 if require_nondegenerate else True
     return EigenstateFinding(holds=holds, eigenvalue=value, degeneracy=degeneracy)
 
@@ -96,9 +97,7 @@ def _real_span_rank(matrices):
         [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in matrices]
     )
     singular = np.linalg.svd(rows, compute_uv=False)
-    if singular.size == 0 or singular[0] == 0.0:
-        return 0
-    return int(np.sum(singular > RANK_TOL * singular[0]))
+    return int(np.count_nonzero(~negligible(singular, operator_size(*matrices))))
 
 
 def _phase_fix(vec):
@@ -121,13 +120,12 @@ def common_eigenkets(operators):
     if not ops:
         return ()
     n = ops[0].shape[0]
+    size = operator_size(*ops)
     spectra = []
     for op in ops:
-        eigenvalues = np.linalg.eigvalsh(op)
-        ctol = _cluster_tol(eigenvalues)
         unique = []
-        for value in eigenvalues:
-            if not unique or value - unique[-1] > ctol:
+        for value in np.linalg.eigvalsh(op):
+            if not unique or not negligible(value - unique[-1], size):
                 unique.append(float(value))
         spectra.append(unique)
 
@@ -136,10 +134,7 @@ def common_eigenkets(operators):
     for combo in itertools.product(*spectra):
         stacked = np.vstack([op - lam * eye for op, lam in zip(ops, combo)])
         _, singular, vh = np.linalg.svd(stacked)
-        threshold = RANK_TOL * max(singular[0], 1.0)
-        for row in range(n - 1, -1, -1):
-            if row < singular.size and singular[row] > threshold:
-                break
+        for row in range(int(np.count_nonzero(~negligible(singular, size))), n):
             vec = vh[row].conj()
             residual = vec.copy()
             for prev in found:
@@ -225,28 +220,25 @@ def invariant_set_slice(model, shifts):
     shifts = _require_shifts(model, shifts)
     n = model.n
     target = model.target
-    rows = np.array(
-        [((hk - lam * np.eye(n)) @ target).conj() for hk, lam in zip(model.controls, shifts)]
-    ).reshape(model.m, n)
     if model.m == 0:
         basis = np.eye(n, dtype=np.complex128)
         return InvariantSetResult(
             shifts=(), dimension=n, basis=basis, contains_target=True, singular_values=()
         )
+    shifted = [hk - lam * np.eye(n) for hk, lam in zip(model.controls, shifts)]
+    size = operator_size(*shifted)
+    rows = np.array([(h @ target).conj() for h in shifted])
     _, singular, vh = np.linalg.svd(rows)
-    threshold = RANK_TOL * max(singular[0], 1.0)
-    rank = int(np.sum(singular > threshold))
+    rank = int(np.count_nonzero(~negligible(singular, size)))
     basis_rows = vh[rank:].conj()
     basis = np.column_stack([_phase_fix(row) for row in basis_rows]) if rank < n else np.empty(
         (n, 0), dtype=np.complex128
     )
-    residual = float(np.linalg.norm(rows @ target))
-    scale = max(float(np.linalg.norm(rows)), 1.0)
     return InvariantSetResult(
         shifts=tuple(float(s) for s in shifts),
         dimension=n - rank,
         basis=basis,
-        contains_target=residual <= RANK_TOL * scale,
+        contains_target=negligible(float(np.linalg.norm(rows @ target)), size),
         singular_values=tuple(float(s) for s in singular),
     )
 
@@ -280,11 +272,12 @@ def invariant_set_sweep(model, grid_points=50):
     With a_k = <t|H_k|t> and W the matrix with rows H_k t - a_k t, the
     slice at shifts lam has dimension n - rank W when a - lam lies in the
     column space of W, and n - rank W - 1 otherwise. rank W and the left
-    kernel L of W are computed once (threshold RANK_TOL * max(s_0, 1)),
-    and the residual L (a - lam) is evaluated over the whole grid by
-    broadcasting; a node lies on the set when its residual norm is within
-    the same threshold. invariant_set_slice runs only twice: at the first
-    node attaining the maximum and at the canonical shifts a.
+    kernel L of W are computed once, and the residual L (a - lam) is
+    evaluated over the whole grid by broadcasting. A singular value of W,
+    or a node's residual norm, counts as zero when negligible beside the
+    largest entry of the H_k - a_k I, as at the canonical slice.
+    invariant_set_slice runs only twice: at the first node attaining the
+    maximum and at the canonical shifts a.
     """
     grid_points = require_int(grid_points, "grid_points", 2)
     if model.m == 0:
@@ -304,16 +297,16 @@ def invariant_set_sweep(model, grid_points=50):
         [float(np.real(np.vdot(target, hk @ target))) for hk in model.controls]
     )
     coupling = np.array([hk @ target for hk in model.controls]) - np.outer(canonical, target)
+    size = operator_size(*(hk - a_k * np.eye(model.n) for hk, a_k in zip(model.controls, canonical)))
     left, singular, _ = np.linalg.svd(coupling)
-    threshold = RANK_TOL * max(singular[0], 1.0)
-    rank = int(np.sum(singular > threshold))
+    rank = int(np.count_nonzero(~negligible(singular, size)))
     kernel = left[:, rank:].conj().T
     # residual[i_1, ..., i_m] = L (a - lam) at the node with shifts lam_k = grids[k][i_k]
     residual = sum(
         (a_k - lam_k)[..., None] * kernel[:, k]
         for k, (a_k, lam_k) in enumerate(zip(canonical, np.ix_(*grids)))
     )
-    on_set = np.linalg.norm(residual, axis=-1) <= threshold
+    on_set = negligible(np.linalg.norm(residual, axis=-1), size)
     on_count = int(np.count_nonzero(on_set))
     counts = {
         dim: count
@@ -356,12 +349,8 @@ def escape_matrix(model):
     matrix = np.array([bra @ (hk @ perp) for hk in model.controls]).reshape(
         model.m, model.n - 1
     )
-    if matrix.size:
-        singular = np.linalg.svd(matrix, compute_uv=False)
-        rank = int(np.sum(singular > RANK_TOL * max(singular[0], 1.0)))
-    else:
-        singular = np.array([])
-        rank = 0
+    singular = np.linalg.svd(matrix, compute_uv=False) if matrix.size else np.zeros(0)
+    rank = int(np.count_nonzero(~negligible(singular, operator_size(*model.controls))))
     return EscapeMatrixResult(
         matrix=matrix,
         full_rank=rank == model.n - 1,

@@ -28,11 +28,11 @@ class SystemModel:
     """An n-level system under continuous measurement with affine control.
 
     free_hamiltonian and every control generator must be Hermitian and
-    traceless (within 1e-12), with the controls in a list or tuple; the
-    observable must be Hermitian; the target must be a unit vector (within
-    1e-9). measurement_strength k >= 0 and hbar > 0. k = 0 (the no-measurement
-    limit) is permitted here so degenerate reference dynamics can be built;
-    file loading enforces k > 0.
+    traceless within 1e-12 times the operator's largest entry, with the
+    controls in a list or tuple; the observable must be Hermitian; the
+    target must be a unit vector (within 1e-9). measurement_strength k >= 0
+    and hbar > 0. k = 0 (the no-measurement limit) is permitted here so
+    degenerate reference dynamics can be built; file loading enforces k > 0.
     """
 
     free_hamiltonian: np.ndarray

@@ -6,6 +6,9 @@ up to a global phase, so distances and membership tests are phase
 invariant. Everything here is a pure function over those arrays, beside
 the rules every argument meets, one per kind (number with optional bounds,
 integer, list), so a file field, a CLI flag and a library argument fail alike.
+Every operator tolerance (RANK_TOL, the one rule for "zero" in a structural
+check, and those of the validation rules) is a fraction of operator_size over
+the operators a matrix is built from, so no check depends on units.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import numpy as np
 from .errors import ValidationError
 
 STATE_NORM_TOL = 1e-9
+RANK_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EXPECTATION_IMAG_TOL = 1e-10
-EIGENSTATE_TOL = 1e-9
 # built once: require_number runs on every entry of a definition file
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
@@ -81,8 +84,22 @@ def _complex_array(value, name):
 
 
 def _require_finite(arr, name):
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name}: entries must be finite")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        index = tuple(np.argwhere(~finite)[0])
+        raise ValidationError(f"{name}[{', '.join(map(str, index))}]: must be finite, got {arr[index]}")
+
+
+def operator_size(*ops):
+    """The largest real or imaginary part of an entry of ops (0.0 for none): the scale of every tolerance."""
+    # parts, not |entry|: they cannot overflow, so a huge operator never makes its own deviation negligible
+    parts = np.array(ops, dtype=np.complex128).view(np.float64)  # a copy, so abs works in place
+    return float(np.abs(parts, out=parts).max(initial=0.0))
+
+
+def negligible(values, size):
+    """values <= RANK_TOL * size (elementwise): a value is zero beside operators of that size."""
+    return values <= RANK_TOL * size
 
 
 def as_complex_vector(vec, name="state"):
@@ -108,26 +125,28 @@ def require_state_vector(vec, name="state"):
 
 
 def require_hermitian(mat, name="operator"):
-    """Return mat as a complex square array, raising unless finite and Hermitian (HERMITIAN_TOL)."""
+    """Return mat as a complex square array, raising unless finite and Hermitian (HERMITIAN_TOL * operator_size)."""
     arr = _complex_array(mat, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name}: expected a square matrix, got shape {arr.shape}")
     _require_finite(arr, name)
     with np.errstate(over="ignore"):
         dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if dev > HERMITIAN_TOL:
-        raise ValidationError(f"{name}: not Hermitian within {HERMITIAN_TOL:g} (max deviation {dev:.3g})")
+    bound = HERMITIAN_TOL * operator_size(arr)
+    if dev > bound:
+        raise ValidationError(f"{name}: not Hermitian within {bound:.3g} (max deviation {dev:.3g})")
     return arr
 
 
 def require_traceless_hermitian(mat, name="operator"):
-    """Hermitian check plus |trace| <= TRACE_TOL (membership in i*su(n) directions)."""
+    """Hermitian check plus |trace| <= TRACE_TOL * operator_size (membership in i*su(n) directions)."""
     arr = require_hermitian(mat, name)
     # summed as Python complex numbers: a sum of huge entries is inf, or nan where
     # +inf and -inf partial sums meet, with no numpy warning to silence
     tr = sum(arr.diagonal().tolist())
-    if not abs(tr) <= TRACE_TOL:
-        raise ValidationError(f"{name}: trace {tr:.3g} is not 0 within {TRACE_TOL:g}")
+    bound = TRACE_TOL * operator_size(arr)
+    if not abs(tr) <= bound:
+        raise ValidationError(f"{name}: trace {tr:.3g} is not 0 within {bound:.3g}")
     return arr
 
 
@@ -143,9 +162,9 @@ def normalize(vec):
 def expectation_value(state, op):
     """<state|op|state> as a real number.
 
-    The imaginary part of the raw quadratic form must be below 1e-10
-    (anything larger indicates a non-Hermitian operator or a broken state)
-    and is discarded.
+    The imaginary part of the raw quadratic form must be at most
+    EXPECTATION_IMAG_TOL * operator_size(op) (anything larger indicates a
+    non-Hermitian operator or a broken state) and is discarded.
     """
     psi = as_complex_vector(state)
     mat = np.asarray(op, dtype=np.complex128)
@@ -154,7 +173,7 @@ def expectation_value(state, op):
             f"operator shape {mat.shape} does not match state dimension {psi.size}"
         )
     raw = complex(np.vdot(psi, mat @ psi))
-    if abs(raw.imag) >= EXPECTATION_IMAG_TOL:
+    if abs(raw.imag) > EXPECTATION_IMAG_TOL * operator_size(mat):
         raise ValidationError(
             f"expectation value has imaginary part {raw.imag:.3g}; operator is not Hermitian enough"
         )
@@ -188,14 +207,14 @@ def equivalence_distance(state, target):
 def eigenstate_eigenvalue(state, op):
     """The eigenvalue of op at state, or None when state is not an eigenvector.
 
-    Uses the residual test ||op state - <op> state|| < EIGENSTATE_TOL, which is
-    invariant under spectral shifts op -> op + c*I up to the shift in the
-    returned eigenvalue.
+    The residual ||op state - <op> state|| must be negligible beside
+    operator_size(op), which holds in any units. The residual is invariant
+    under spectral shifts op -> op + c*I, which move the returned eigenvalue by c.
     """
     psi = as_complex_vector(state)
-    lam = expectation_value(psi, op)
-    residual = float(np.linalg.norm(np.asarray(op, dtype=np.complex128) @ psi - lam * psi))
-    if residual < EIGENSTATE_TOL:
+    mat = np.asarray(op, dtype=np.complex128)
+    lam = expectation_value(psi, mat)
+    if negligible(float(np.linalg.norm(mat @ psi - lam * psi)), operator_size(mat)):
         return float(lam)
     return None
 

@@ -1,11 +1,14 @@
 """Structural analysis: assumption report, invariant slices, escape matrix."""
 
+import dataclasses
 import itertools
 import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlyap import (
     ControlLaw,
@@ -309,6 +312,85 @@ def test_invariant_set_sweep_matches_per_node_slices_on_random_models():
     assert classes["n=3 m=2 zero row"] == 2
     assert classes["n=4 m=2 all rows zero"] == 2
     assert sum(count == 2 for count in classes.values()) >= 10
+
+
+def _unit_model(seed, n, m):
+    """A seeded model with exact structure for the checks to find.
+
+    The target is usually an eigenvector of H0, with the other levels of H0
+    sometimes degenerate; it is always an eigenvector of X, sometimes a
+    degenerate one. Each control is generic, leaves the target fixed, or
+    shares an orthogonal eigenket with the others, and two may be equal.
+    """
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    target, other = basis[:, 0], basis[:, -1]
+    levels, spectrum = rng.normal(size=n), rng.normal(size=n)
+    if rng.random() < 0.5:
+        levels[1:] = levels[1]
+    if rng.random() < 0.3:
+        spectrum[1] = spectrum[0]
+    h0 = basis @ np.diag(levels) @ basis.conj().T
+    h0 = h0 - (np.trace(h0).real / n) * np.eye(n)
+    if rng.random() < 0.3:
+        h0 = _traceless_control(rng, n)
+    controls = [_traceless_control(rng, n, (None, target, other)[rng.integers(3)]) for _ in range(m)]
+    if m >= 2 and rng.random() < 0.3:
+        controls[-1] = controls[0]
+    return SystemModel(
+        free_hamiltonian=h0,
+        controls=tuple(controls),
+        observable=basis @ np.diag(spectrum) @ basis.conj().T,
+        target=target,
+        measurement_strength=1.0,
+    )
+
+
+def _in_units(model, s):
+    """The same closed loop with H0, every control and hbar scaled by s."""
+    return dataclasses.replace(
+        model,
+        free_hamiltonian=s * model.free_hamiltonian,
+        controls=tuple(s * hk for hk in model.controls),
+        hbar=s * model.hbar,
+    )
+
+
+def _structural_findings(model):
+    report = check_assumptions(model)
+    independence = report.independent_generators
+    canonical = [float(np.real(np.vdot(model.target, hk @ model.target))) for hk in model.controls]
+    target_slice = invariant_set_slice(model, canonical)
+    return (
+        [(f.holds, f.degeneracy) for f in (report.target_free_eigenstate, report.target_observable_eigenstate)],
+        report.controls_move_target.movers,
+        (independence.holds, independence.rank, len(independence.common_eigenkets)),
+        escape_matrix(model).rank,
+        (target_slice.dimension, target_slice.contains_target),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    exponent=st.floats(-12.0, 12.0),
+)
+def test_structural_findings_do_not_depend_on_units(seed, n, m, exponent):
+    # every tolerance is a fraction of the operators' largest entry, so a
+    # change of units (H0, the controls and hbar scaled alike) moves no finding
+    model = _unit_model(seed, n, m)
+    expected = _structural_findings(model)
+    for s in (1e-12, 1e-9, 1e-6, 10.0**exponent, 1e6, 1e9, 1e12):
+        assert _structural_findings(_in_units(model, s)) == expected, s
+
+
+def test_fixture_findings_do_not_depend_on_units():
+    for model in (qubit_model(), qutrit_model(), four_level_model(), four_level_deficient_model()):
+        expected = _structural_findings(model)
+        for exponent in range(-12, 13, 3):
+            assert _structural_findings(_in_units(model, 10.0**exponent)) == expected, exponent
 
 
 def test_invariant_set_sweep_near_node_limit_stays_in_memory_bound():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qlyap import ControlLaw, IntegrationError, RunParams, SystemModel, dump_definition
 from qlyap.cli import main
 
-from conftest import QUBIT_PSI0, four_level_deficient_model, qubit_model
+from conftest import QUBIT_PSI0, four_level_deficient_model, qubit_model, qutrit_model
 
 
 def _write(tmp_path, name, model, law, **run):
@@ -83,6 +83,47 @@ def test_check_accepts_bundled_fixture_names(capsys):
     assert main(["check", "qubit"]) == 0
     assert main(["check", "qutrit"]) == 0
     assert capsys.readouterr().out.count("PASS") == 8
+
+
+def test_check_findings_do_not_depend_on_units(tmp_path, capsys):
+    # the qutrit in a rotated basis, so that its matrices have rounding in
+    # every entry, written once in unit scale and once with H0 and the
+    # controls in 1e6 units (hbar to match), as in MHz-scale definitions
+    rotation = np.linalg.qr(np.random.default_rng(26).normal(size=(3, 3)) + 1j * np.eye(3))[0]
+    model = qutrit_model()
+
+    def rotate(op):
+        return rotation @ op @ rotation.conj().T
+
+    rotated = SystemModel(
+        free_hamiltonian=rotate(model.free_hamiltonian),
+        controls=tuple(rotate(hk) for hk in model.controls),
+        observable=rotate(model.observable),
+        target=rotation @ model.target,
+        measurement_strength=1.0,
+    )
+    unit_path = _write(tmp_path, "unit.json", rotated, ControlLaw(gains=(1.0, 1.0)))
+    data = json.loads(open(unit_path, encoding="utf-8").read())
+    system = data["system"]
+    for op in [system["free_hamiltonian"], *system["controls"]]:
+        for row in op:
+            for pair in row:
+                pair[:] = [1e6 * part for part in pair]
+    system["hbar"] *= 1e6
+    mhz_path = tmp_path / "mhz.json"
+    mhz_path.write_text(json.dumps(data), encoding="utf-8")
+
+    results = []
+    for path, scale in ((unit_path, 1.0), (str(mhz_path), 1e6)):
+        out = tmp_path / f"check-{scale:g}.json"
+        code = main(["check", path, "--json", str(out)])
+        lines = capsys.readouterr().out.splitlines()[:4]
+        report = json.loads(out.read_text())
+        free = report["target_free_eigenstate"]
+        free["eigenvalue"] = round(free["eigenvalue"] / scale, 9)
+        results.append((code, lines, report))
+    assert results[0][0] == 0 and results[0][1].count("independent_generators: PASS") == 1
+    assert results[1] == results[0]
 
 
 def test_simulate_writes_deterministic_csv(good_def, tmp_path, capsys):

@@ -278,11 +278,11 @@ def test_non_finite_increments_rejected(bad):
     law = ControlLaw(gains=(1.0,))
     inc = np.zeros(10)
     inc[3] = bad
-    with pytest.raises(ValidationError, match="^increments: entries must be finite"):
+    with pytest.raises(ValidationError, match=rf"^increments\[3\]: must be finite, got {bad}$"):
         simulate_trajectory(model, law, QUBIT_PSI0, 0.01, 0.1, 1, increments=inc)
     with pytest.raises(ValidationError, match="^dw: expected a finite number"):
         euler_maruyama_step(model, law, QUBIT_PSI0, 0.01, bad)
-    with pytest.raises(ValidationError, match="^dws: entries must be finite"):
+    with pytest.raises(ValidationError, match=r"^dws\[1\]: must be finite"):
         euler_maruyama_step_many(model, law, np.stack([QUBIT_PSI0] * 3), 0.01, [0.0, bad, 0.0])
 
 

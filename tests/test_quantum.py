@@ -99,11 +99,11 @@ def _qubit_call(call):
     "call, bad, error, prefix",
     [
         (_qubit_call(lambda q, law, s: lyapunov_value(s, q.target)), [np.nan, 1.0], ValidationError,
-         "state: entries must be finite"),
+         "state[0]: must be finite, got (nan+0j)"),
         (_qubit_call(lambda q, law, s: control_signals(q, law, s)), [np.nan, 1.0], ValidationError,
-         "state: entries must be finite"),
+         "state[0]: must be finite, got (nan+0j)"),
         (_qubit_call(lambda q, law, s: drift(q, [0.0], s)), [np.inf, 1.0], ValidationError,
-         "state: entries must be finite"),
+         "state[0]: must be finite, got (inf+0j)"),
         (_qubit_call(lambda q, law, x: invariant_set_slice(q, x)), [np.nan], ValidationError,
          "shifts[0]: expected a finite number, got nan"),
         (_qubit_call(lambda q, law, x: invariant_set_slice(q, x)), [np.inf], ValidationError,
@@ -195,8 +195,8 @@ def test_require_state_vector_accepts_unit_rejects_rest():
     with pytest.raises(ValidationError):
         require_state_vector(np.eye(2))
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValidationError, match="psi0: entries must be finite"):
-            require_state_vector(np.array([bad, 0.0]), "psi0")
+        with pytest.raises(ValidationError, match=r"^psi0\[1\]: must be finite"):
+            require_state_vector(np.array([0.0, bad]), "psi0")
     # finite but huge: the norm overflows to inf and must fail as a ValidationError
     for huge in (np.array([1e308, 1e308]), np.array([1e308 + 1e308j, 0.0])):
         with pytest.raises(ValidationError, match="psi0: norm inf"):
@@ -210,11 +210,20 @@ def test_require_hermitian_and_traceless():
     with pytest.raises(ValidationError):
         require_hermitian(np.ones((2, 3)))
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValidationError, match="h0: entries must be finite"):
-            require_hermitian(np.diag([bad, 1.0]), "h0")
+        with pytest.raises(ValidationError, match=r"^h0\[1, 0\]: must be finite"):
+            require_hermitian(np.array([[1.0, 0.0], [bad, 1.0]]), "h0")
     require_traceless_hermitian(np.diag([1.0, -1.0]))
     with pytest.raises(ValidationError):
         require_traceless_hermitian(np.diag([1.0, 1.0]))
+    # both tolerances are fractions of the largest entry: a tiny skew control is
+    # refused, a zero operator passes (0 <= 0), and so does a traceless operator
+    # whose trace rounds to about 1e-9 in MHz-scale units
+    with pytest.raises(ValidationError, match=r"^controls\[0\]: not Hermitian within 1e-25 \(max deviation 1e-13\)$"):
+        dataclasses.replace(qubit_model(), controls=(np.array([[0.0, 1e-13], [0.0, 0.0]]),))
+    require_traceless_hermitian(np.zeros((2, 2)))
+    rotation = np.linalg.qr(random_hermitian(np.random.default_rng(26), 3) + 1j * np.eye(3))[0]
+    h0 = 1e6 * rotation @ np.diag([2.0, -1.0, -1.0]) @ rotation.conj().T
+    require_traceless_hermitian(0.5 * (h0 + h0.conj().T))
     # finite but huge entries overflow the checks to inf (or nan) and still fail
     for skew in (np.array([[0.0, 1e308], [-1e308, 0.0]]), np.array([[0.0, 1e308j], [1e308j, 0.0]])):
         with pytest.raises(ValidationError, match="h0: not Hermitian"):

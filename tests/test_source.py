@@ -1,8 +1,8 @@
 """Source hygiene: every import in a qlyap module is used there, every
 module-level private name is used somewhere in the package, only
-`quantum` writes a number, integer, bound or list rule, every tool
-makes one call of the seeded-trials driver, and the batch noise path
-builds no generator per row."""
+`quantum` writes a number, integer, bound or list rule or reads an
+operator tolerance, every tool makes one call of the seeded-trials
+driver, and the batch noise path builds no generator per row."""
 
 import ast
 from pathlib import Path
@@ -142,6 +142,35 @@ def test_no_bound_message_outside_quantum():
     assert any(
         word in text for _, text in _raised_text(_trees()["quantum.py"]) for word in _BOUND_WORDS
     ), "the bound messages in quantum.py were not seen"
+
+
+_TOLERANCES = {"RANK_TOL", "HERMITIAN_TOL", "TRACE_TOL", "EXPECTATION_IMAG_TOL"}
+
+
+def _tolerance_mentions(tree):
+    """(line, name) of each use, definition or import of an operator tolerance in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in _TOLERANCES:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in _TOLERANCES:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, alias.name) for alias in node.names if alias.name in _TOLERANCES)
+
+
+def test_no_operator_tolerance_outside_quantum():
+    # every "is this zero" on an operator goes through quantum (negligible and
+    # the validation rules), each a fraction of operator_size; a threshold
+    # written elsewhere would bring back a check that depends on units
+    found = [
+        f"{name}:{line}: {tol}"
+        for name, tree in _trees().items()
+        if name != "quantum.py"
+        for line, tol in _tolerance_mentions(tree)
+    ]
+    assert not found, "operator tolerances outside quantum.py:\n" + "\n".join(found)
+    read = {tol for _, tol in _tolerance_mentions(_trees()["quantum.py"])}
+    assert read == _TOLERANCES, "the tolerances in quantum.py were not seen"
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
