@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -197,6 +198,7 @@ def _cmd_report(args):
     return 0 if ok else GATE_FAILED
 
 
+@functools.cache  # built on the first call, not at import; parse_args returns a new namespace per call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qlyap",

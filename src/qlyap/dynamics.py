@@ -21,9 +21,12 @@ The step kernel (_Stepper) holds a batch as one real block of shape
 (2n, B), real parts of the components above imaginary parts, one
 trajectory per column, and gets every operator product a step needs from
 one matmul against a real operator stack built once per run; every later
-op runs on contiguous length-B rows. Its states() generator, the
-package's one loop over time, consumes increment blocks, yields every
-state of the batch and callers record what they need. Callers hand it
+op runs on contiguous length-B rows, writing into buffers built once per
+batch width. Its states() generator, the package's one loop over time,
+consumes increment blocks, yields every state of the batch and callers
+record what they need. The yielded arrays are those buffers: what is
+yielded at step i is overwritten by step i + 1, so a caller copies what
+it keeps, as simulate_trajectory and _run_trials do. Callers hand it
 complex state rows converted by _to_block (euler_maruyama_step_many,
 simulate_trajectory and the ensemble driver, once per batch) and read
 states back with _to_rows.
@@ -255,6 +258,32 @@ def _real_bras(vectors):
     return np.concatenate((np.hstack((b.real, -b.imag)), np.hstack((b.imag, b.real))))
 
 
+class _Buffers:
+    """Every array a step of one batch width writes, built once per width.
+
+    p receives P = W F, and views name its row blocks; pair holds the two
+    state blocks that successive steps alternate between.
+    """
+
+    def __init__(self, stepper, width):
+        n2, m = 2 * stepper.model.n, stepper.model.m
+        self.width = width
+        self.p = p = np.empty((stepper.w.shape[0], width))
+        self.a, self.b = p[stepper.overlap_re], p[-1]  # Re and Im of <target|psi>
+        self.a_psi, self.x_psi = p[:n2], p[stepper.x_rows]
+        self.ctrl_psi = [p[rows] for rows in stepper.ctrl_rows]
+        self.inner_re, self.inner_im = p[stepper.inner_re], p[stepper.inner_im]
+        self.fid, self.mag, self.x_mean, self.norms, self.c_x, self.c_psi, self.row = np.empty((7, width))
+        self.u, self.im, self.term = np.empty((3, m, width))
+        self.block = np.empty((n2, width))  # the product of a length-B row and a state block
+        self.pair = tuple(np.empty((2, n2, width)))
+
+
+def _first_column(*arrays):
+    """Each array cut to its first column (along its last axis); None stays None."""
+    return [a if a is None else a[..., :1] for a in arrays]
+
+
 class _Stepper:
     """Batched Euler-Maruyama kernel; states() iterates step() over a run, yielding each state.
 
@@ -281,6 +310,9 @@ class _Stepper:
     rows, sums over components are sequential np.add.reduce over axis 0,
     and every quantity of column j is an elementwise function of column j
     alone, so a trajectory's numbers do not depend on the batch around it.
+    Every op writes into the buffers of the batch width (_Buffers), built
+    when the width changes and reused by every later step, so a stepper
+    serves one loop at a time: concurrent loops need steppers of their own.
     """
 
     def __init__(self, model, law, dt):
@@ -304,52 +336,85 @@ class _Stepper:
         self.gains = np.asarray(law.gains, dtype=float)[:, None]
         self.phase_tol = law.phase_tol
         self.sqrt2k = np.sqrt(2.0 * model.measurement_strength)
+        self._bufs = None
+
+    def _buffers(self, width):
+        if self._bufs is None or self._bufs.width != width:
+            self._bufs = _Buffers(self, width)
+        return self._bufs
 
     def diagnostics(self, f):
-        """(fidelity, x_mean, u, P) of each column, with u the (m, B) feedback amplitudes and P = W F."""
-        p = np.matmul(self.w, f)
-        a, b = p[self.overlap_re], p[-1]  # Re and Im of <target|psi>
-        fid = a * a + b * b
-        x_mean = np.add.reduce(f * p[self.x_rows], axis=0)
+        """(fidelity, mag, x_mean, u, buffers) of each column.
+
+        mag is |<target|psi>|, u the (m, B) feedback amplitudes, and the
+        buffers' p holds P = W F. The next call overwrites every array returned.
+        """
+        s = self._buffers(f.shape[1])
+        np.matmul(self.w, f, out=s.p)
+        a, b, fid, mag = s.a, s.b, s.fid, s.mag
+        np.multiply(a, a, out=fid)
+        np.multiply(b, b, out=s.row)
+        fid += s.row
+        np.sqrt(fid, out=mag)
+        np.multiply(f, s.x_psi, out=s.block)
+        np.add.reduce(s.block, axis=0, out=s.x_mean)
         if not self.model.m:
-            return fid, x_mean, np.zeros((0, f.shape[1])), p
-        # u_k = gains_k Im(phase <t|H_k|psi>) with phase = (a - i b) / mag, mag = |<t|psi>|,
+            return fid, mag, s.x_mean, s.u, s
+        # u_k = gains_k Im(phase <t|H_k|psi>) with phase = (a - i b) / mag,
         # or phase = 1 where mag < phase_tol (phase lock)
-        mag = np.sqrt(fid)
+        div = mag
         if mag.min(initial=np.inf) < self.phase_tol:  # an empty batch has no minimum
             locked = mag < self.phase_tol
-            a = np.where(locked, 1.0, a)
-            b = np.where(locked, 0.0, b)
-            mag = np.where(locked, 1.0, mag)
-        im = a * p[self.inner_im]
-        im -= b * p[self.inner_re]
-        im /= mag
-        return fid, x_mean, self.gains * im, p
+            np.copyto(a, 1.0, where=locked)  # the overlap rows of P are spent once fid is known
+            np.copyto(b, 0.0, where=locked)
+            div = s.row
+            np.copyto(div, mag)
+            np.copyto(div, 1.0, where=locked)
+        np.multiply(a, s.inner_im, out=s.im)
+        np.multiply(b, s.inner_re, out=s.term)
+        s.im -= s.term
+        s.im /= div
+        np.multiply(self.gains, s.im, out=s.u)
+        return fid, mag, s.x_mean, s.u, s
 
     def step(self, f, noise):
         """One EM step for every column, noise holding each column's sqrt(2 k) dW.
 
-        Returns (f_next, fid, x_mean, u, norms, ok). Columns whose raw
-        update norm falls below NORM_COLLAPSE_TOL are left at their
-        pre-step value (normalized) and flagged through `ok`; the caller
-        decides whether to raise or mask.
+        Returns (f_next, fid, mag, x_mean, u, norms, ok), the diagnostics
+        being those of f. Columns whose raw update norm falls below
+        NORM_COLLAPSE_TOL are left at their pre-step value (normalized) and
+        marked False in the mask ok; ok is None when no column collapsed.
+        The caller decides whether to raise or mask. f_next is the one of
+        the width's two state blocks that f is not, and the next step but
+        one overwrites it; the next step overwrites every other array.
         """
-        fid, x_mean, u, p = self.diagnostics(f)
-        c_x = 2.0 * self.k_dt * x_mean + noise
-        c_psi = (self.k_dt * x_mean + noise) * x_mean
-        raw = c_x * p[self.x_rows]
-        raw += p[: f.shape[0]]
-        raw -= c_psi * f
-        for u_j, rows in zip(u, self.ctrl_rows):
-            raw += u_j * p[rows]
-        norms = np.sqrt(np.add.reduce(raw * raw, axis=0))
-        ok = norms >= NORM_COLLAPSE_TOL
-        scale = norms
-        if not ok.all():
-            raw = np.where(ok, raw, f)
-            scale = np.where(ok, norms, np.sqrt(np.add.reduce(f * f, axis=0)))
+        fid, mag, x_mean, u, s = self.diagnostics(f)
+        c_x, c_psi, block = s.c_x, s.c_psi, s.block
+        np.multiply(2.0 * self.k_dt, x_mean, out=c_x)
+        c_x += noise
+        np.multiply(self.k_dt, x_mean, out=c_psi)
+        c_psi += noise
+        c_psi *= x_mean
+        raw = s.pair[f is s.pair[0]]
+        np.multiply(c_x, s.x_psi, out=raw)
+        raw += s.a_psi
+        np.multiply(c_psi, f, out=block)
+        raw -= block
+        for u_j, ctrl_psi in zip(u, s.ctrl_psi):
+            np.multiply(u_j, ctrl_psi, out=block)
+            raw += block
+        norms, scale, ok = s.norms, s.norms, None
+        np.multiply(raw, raw, out=block)
+        np.add.reduce(block, axis=0, out=norms)
+        np.sqrt(norms, out=norms)
+        if not norms.min(initial=np.inf) >= NORM_COLLAPSE_TOL:  # a nan norm counts as collapsed
+            ok = norms >= NORM_COLLAPSE_TOL
+            np.copyto(raw, f, where=~ok)
+            np.multiply(f, f, out=block)
+            scale = np.sqrt(np.add.reduce(block, axis=0, out=s.row), out=s.row)
+            np.copyto(scale, norms, where=ok)
         raw /= scale
-        return raw, fid, x_mean, u, norms, ok
+        return raw, fid, mag, x_mean, u, norms, ok
 
     def states(self, f0, blocks):
         """Propagate the columns of the block f0 through the increment blocks, yielding each state.
@@ -358,25 +423,34 @@ class _Stepper:
         step; `steps` is the total of their widths. Each block is scaled by
         sqrt(2 k) once, into one C-contiguous (s, B) array whose rows are
         the steps' noise. Yields
-        (i, F, fid, x_mean, u, norms, ok) for i = 0 .. steps: the (2n, B)
-        block at step i with its diagnostics and, for i < steps, that
-        step's raw update norms and non-collapse flags. At i = steps (the
-        final state) norms and ok are None. A one-column batch is stepped
-        as two identical columns (see _two_columns), and the copy is never
-        yielded.
+        (i, F, fid, mag, x_mean, u, norms, ok) for i = 0 .. steps: the
+        (2n, B) block at step i with its diagnostics and, for i < steps,
+        that step's raw update norms and collapse mask (None when no column
+        collapsed). At i = steps (the final state) norms and ok are None. A one-column batch is stepped as two identical
+        columns (see _two_columns), and the copy is never yielded.
+
+        The yielded arrays are the stepper's buffers, not copies: those
+        yielded at step i are overwritten by step i + 1 (F alternates
+        between two blocks, so it is overwritten while step i + 1 is
+        computed and reused at step i + 2). A caller copies what it keeps.
         """
-        cols = slice(0, f0.shape[1])
-        f = _two_columns(np.array(f0, dtype=np.float64, order="C"))
+        trim = f0.shape[1] == 1
+        f = self._buffers(f0.shape[1] + trim).pair[0]
+        np.copyto(f, f0)  # a one-column f0 fills both columns
         i = 0
         for block in blocks:
             for noise in _two_columns(np.multiply(np.asarray(block).T, self.sqrt2k, order="C")):
-                f_next, fid, x_mean, u, norms, ok = self.step(f, noise)
-                yield i, f[:, cols], fid[cols], x_mean[cols], u[:, cols], norms[cols], ok[cols]
+                f_next, fid, mag, x_mean, u, norms, ok = self.step(f, noise)
+                if trim:
+                    yield i, *_first_column(f, fid, mag, x_mean, u, norms, ok)
+                else:
+                    yield i, f, fid, mag, x_mean, u, norms, ok
                 f = f_next
                 i += 1
             noise = None  # a row view keeps the scaled block alive while the next one is drawn
-        fid, x_mean, u, _ = self.diagnostics(f)
-        yield i, f[:, cols], fid[cols], x_mean[cols], u[:, cols], None, None
+        fid, mag, x_mean, u, _ = self.diagnostics(f)
+        final = (f, fid, mag, x_mean, u, None, None)
+        yield i, *(_first_column(*final) if trim else final)
 
 
 def euler_maruyama_step(model, law, state, dt, dw):
@@ -402,8 +476,8 @@ def euler_maruyama_step_many(model, law, states, dt, dws):
     stepper = _Stepper(model, law, dt)
     b = psi.shape[0]
     noise = _two_columns(stepper.sqrt2k * dws)
-    f, _, _, _, norms, ok = stepper.step(_two_columns(_to_block(psi)), noise)
-    if not ok.all():
+    f, _, _, _, _, norms, ok = stepper.step(_two_columns(_to_block(psi)), noise)
+    if ok is not None:
         bad = int(np.argmin(ok))
         raise IntegrationError(
             f"state norm collapsed to {norms[bad]:.3g} in one step (row {bad})"
@@ -475,13 +549,13 @@ def simulate_trajectory(model, law, psi0, dt, t_final, seed, increments=None):
     controls = np.empty((steps, model.m))
 
     stepper = _Stepper(model, law, dt)
-    for i, f, fi, x, u, norms, ok in stepper.states(_to_block(psi0[None, :]), [inc[None, :]]):
+    for i, f, fi, _, x, u, norms, ok in stepper.states(_to_block(psi0[None, :]), [inc[None, :]]):
         states[i] = f[:, 0]
         fid[i] = fi[0]
         x_mean[i] = x[0]
         if i < steps:
             controls[i] = u[:, 0]
-            if not ok[0]:
+            if ok is not None and not ok[0]:
                 raise IntegrationError(
                     f"state norm collapsed to {norms[0]:.3g} at step {i} (t = {i * dt:.6g})"
                 )

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .control import _require_radius, lyapunov_value, min_lyapunov_at_distance
-from .dynamics import NOISE_BLOCK, _Stepper, _step_count, _to_block, wiener_blocks
+from .dynamics import NOISE_BLOCK, _Stepper, _step_count, _to_block, _wiener_blocks
 from .errors import PreconditionError, ValidationError
 from .quantum import equivalence_distance, fidelity, normalize, orthonormal_completion
 from .quantum import require_int, require_list, require_number
@@ -81,9 +81,10 @@ class EnsembleSummary:
 def _run_trials(stepper, starts, base_seed, steps, dt, rec_idx, radii):
     """Run one trajectory per row of the (rows, n) array starts, row i with seed base_seed + i.
 
-    The rows run in BATCH-wide ranges through `steps` steps. rec_idx lists
-    the recorded steps, ending at `steps`; radii lists the distances whose
-    first exceedance is tracked, possibly none. Returns, over all rows,
+    The rows run in BATCH-wide ranges through `steps` steps; the callers
+    have checked dt, steps and base_seed. rec_idx is the list of recorded
+    steps, ending at `steps`; radii lists the distances whose first
+    exceedance is tracked, possibly none. Returns, over all rows,
     (alive, total, total_sq, final_fid, exit_steps):
     - alive marks the rows that never collapsed, the survivors (callers check them);
     - total and total_sq are (3, len(rec_idx)) sums of V, <X> and fidelity
@@ -100,20 +101,20 @@ def _run_trials(stepper, starts, base_seed, steps, dt, rec_idx, radii):
     sums, sums_sq = [], []
     for lo in range(0, len(starts), BATCH):
         hi = min(lo + BATCH, len(starts))
-        blocks = wiener_blocks(range(base_seed + lo, base_seed + hi), steps, dt)
+        blocks = _wiener_blocks(range(base_seed + lo, base_seed + hi), steps, np.sqrt(dt))
         hist = np.empty((3, hi - lo, len(rec_idx)))
         live, exits = alive[lo:hi], exit_steps[:, lo:hi]  # views: updates land in the full arrays
         # overlap magnitudes of up to NOISE_BLOCK steps; first exits are
         # resolved once per block of steps instead of at every step
         mags = np.empty((NOISE_BLOCK, hi - lo)) if r_thresh.size else None
         rec = 0
-        for i, _, fid, x_mean, _, _, ok in stepper.states(_to_block(starts[lo:hi]), blocks):
+        for i, _, fid, mag, x_mean, _, _, ok in stepper.states(_to_block(starts[lo:hi]), blocks):
             if i == rec_idx[rec]:
                 hist[:, :, rec] = 0.5 * (1.0 - fid), x_mean, fid
                 rec += 1
             if mags is not None:
                 j = i % NOISE_BLOCK
-                np.sqrt(fid, out=mags[j])
+                mags[j] = mag
                 if j == NOISE_BLOCK - 1 or i == steps:
                     _resolve_exits(exits, mags[: j + 1], i - j, r_thresh)
             if ok is not None:
@@ -180,7 +181,6 @@ def run_ensemble(
     rec_idx = list(range(0, steps + 1, record_stride))
     if rec_idx[-1] != steps:
         rec_idx.append(steps)
-    rec_idx = np.asarray(rec_idx, dtype=np.int64)
 
     r_list = require_radii(r_list)
     starts = np.broadcast_to(psi0, (trials, psi0.size))
@@ -203,7 +203,7 @@ def run_ensemble(
         base_seed=base_seed,
         dt=float(dt),
         t_final=float(t_final),
-        times=rec_idx * float(dt),
+        times=np.asarray(rec_idx, dtype=np.int64) * float(dt),
         mean_V=mean_v,
         stderr_V=se_v,
         mean_X=mean_x,

@@ -124,27 +124,33 @@ def require_state_vector(vec, name="state"):
     return arr
 
 
-def require_hermitian(mat, name="operator"):
-    """Return mat as a complex square array, raising unless finite and Hermitian (HERMITIAN_TOL * operator_size)."""
+def _hermitian_and_size(mat, name):
+    """require_hermitian's array with its operator_size, which the trace rule reuses."""
     arr = _complex_array(mat, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name}: expected a square matrix, got shape {arr.shape}")
     _require_finite(arr, name)
     with np.errstate(over="ignore"):
         dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    bound = HERMITIAN_TOL * operator_size(arr)
+    size = operator_size(arr)
+    bound = HERMITIAN_TOL * size
     if dev > bound:
         raise ValidationError(f"{name}: not Hermitian within {bound:.3g} (max deviation {dev:.3g})")
-    return arr
+    return arr, size
+
+
+def require_hermitian(mat, name="operator"):
+    """Return mat as a complex square array, raising unless finite and Hermitian (HERMITIAN_TOL * operator_size)."""
+    return _hermitian_and_size(mat, name)[0]
 
 
 def require_traceless_hermitian(mat, name="operator"):
     """Hermitian check plus |trace| <= TRACE_TOL * operator_size (membership in i*su(n) directions)."""
-    arr = require_hermitian(mat, name)
+    arr, size = _hermitian_and_size(mat, name)
     # summed as Python complex numbers: a sum of huge entries is inf, or nan where
     # +inf and -inf partial sums meet, with no numpy warning to silence
     tr = sum(arr.diagonal().tolist())
-    bound = TRACE_TOL * operator_size(arr)
+    bound = TRACE_TOL * size
     if not abs(tr) <= bound:
         raise ValidationError(f"{name}: trace {tr:.3g} is not 0 within {bound:.3g}")
     return arr

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlyap import ControlLaw, IntegrationError, RunParams, SystemModel, dump_definition
-from qlyap.cli import main
+from qlyap.cli import _build_parser, main
 
 from conftest import QUBIT_PSI0, four_level_deficient_model, qubit_model, qutrit_model
 
@@ -137,6 +137,21 @@ def test_simulate_writes_deterministic_csv(good_def, tmp_path, capsys):
     out_c = tmp_path / "c.csv"
     assert main(["simulate", good_def, "--out", str(out_c), "--seed", "99"]) == 0
     assert out_a.read_bytes() != out_c.read_bytes()
+
+
+def test_one_parser_serves_every_call_and_keeps_no_flag(good_def, tmp_path, capsys):
+    # the parser is built once per process, yet each call parses into a new
+    # namespace: a flag given to one call reaches no later call
+    _build_parser.cache_clear()
+    first, seeded, last = (tmp_path / f"{name}.csv" for name in ("first", "seeded", "last"))
+    assert main(["simulate", good_def, "--out", str(first)]) == 0  # the definition's seed, 5
+    assert main(["simulate", good_def, "--out", str(seeded), "--seed", "6"]) == 0
+    assert main(["simulate", good_def, "--out", str(tmp_path / "x.csv"), "--seed"]) == 64
+    assert main(["simulate", good_def, "--out", str(last)]) == 0
+    assert last.read_bytes() == first.read_bytes() != seeded.read_bytes()
+    assert _build_parser.cache_info().misses == 1
+    out = capsys.readouterr().out
+    assert out.count("seed 5:") == 2 and out.count("seed 6:") == 1
 
 
 def test_simulate_psi0_override_and_errors(good_def, tmp_path, capsys):

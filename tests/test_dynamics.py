@@ -373,13 +373,51 @@ def test_collapsed_row_is_named_and_kept_at_its_pre_step_value():
     dt = 1.0 - 1e-7
     with pytest.raises(IntegrationError, match=r"\(row 2\)"):
         euler_maruyama_step_many(model, law, states, dt, dws)
-    block, _, _, _, norms, ok = _Stepper(model, law, dt).step(_to_block(states), dws)
+    block, _, _, _, _, norms, ok = _Stepper(model, law, dt).step(_to_block(states), dws)
     assert ok.tolist() == [True, True, False, True]
     assert norms[2] < NORM_COLLAPSE_TOL
     assert np.max(np.abs(_to_rows(block)[2] - np.array([1.0, 1.0]) / np.sqrt(2.0))) < 1e-15
     # the other columns come out exactly as they do in a batch without a collapse
     clean = _Stepper(model, law, dt).step(_to_block(states[[0, 1, 3]]), dws[[0, 1, 3]])[0]
     assert np.array_equal(block[:, [0, 1, 3]], clean)
+
+
+def _kept(items):
+    """The items of a states() loop, each array copied before the next step overwrites it."""
+    return [(i, *(None if a is None else a.copy() for a in arrays)) for i, *arrays in items]
+
+
+def test_states_yields_the_steppers_buffers():
+    # the contract of states(): F alternates between two blocks, every other array is one buffer
+    model, law = qubit_model(), ControlLaw(gains=(1.0,))
+    rng = np.random.default_rng(310)
+    f0 = _to_block(np.stack([random_state(rng, 2) for _ in range(5)]))
+    stepper = _Stepper(model, law, 1e-3)
+    items = list(stepper.states(f0, [rng.normal(0.0, np.sqrt(1e-3), (5, 4))]))
+    assert [item[0] for item in items] == list(range(5))
+    for i in range(3):
+        assert np.shares_memory(items[i][1], items[i + 2][1])
+        assert not np.shares_memory(items[i][1], items[i + 1][1])
+        assert all(np.shares_memory(a, b) for a, b in zip(items[i][2:7], items[i + 1][2:7]))
+    # a step on which no column collapses yields no mask
+    assert all(item[7] is None for item in items)
+
+
+def test_states_yields_a_mask_when_a_column_collapses():
+    model = _contraction_model()
+    law = ControlLaw(gains=())
+    rng = np.random.default_rng(308)
+    # column 2 is (1, 1) with norm 2; its raw update has norm 2e-7, as in
+    # test_collapsed_row_is_named_and_kept_at_its_pre_step_value
+    states = np.stack(
+        [[1.0, 0.0], random_state(rng, 2), [np.sqrt(2.0), np.sqrt(2.0)], random_state(rng, 2)]
+    ).astype(complex)
+    items = _kept(_Stepper(model, law, 1.0 - 1e-7).states(_to_block(states), [np.zeros((4, 1))]))
+    (i, _, _, _, _, _, norms, ok), (_, f1, *_, final_norms, final_ok) = items
+    assert i == 0 and ok.tolist() == [True, True, False, True] and norms[2] < NORM_COLLAPSE_TOL
+    # the collapsed column keeps its pre-step value, normalized
+    assert np.max(np.abs(_to_rows(f1)[2] - np.array([1.0, 1.0]) / np.sqrt(2.0))) < 1e-15
+    assert final_norms is None and final_ok is None
 
 
 def test_block_layout_round_trips():
@@ -401,9 +439,9 @@ def test_rows_do_not_depend_on_batch_width(request, system):
     f0 = _to_block(psi0)
     increments = rng.normal(0.0, np.sqrt(1e-3), (600, 25))
     stepper = _Stepper(model, law, 1e-3)
-    whole = list(stepper.states(f0, [increments]))
+    whole = _kept(stepper.states(f0, [increments]))
     assert [item[0] for item in whole] == list(range(26))
-    assert whole[-1][5] is None and whole[-1][6] is None
+    assert whole[-1][6] is None and whole[-1][7] is None
     # time blocks: one, two uneven ones, and one per step
     cuts = ([0, 25], [0, 3, 25], list(range(26)))
     for width in (1, 7, 256, 336):
@@ -412,12 +450,14 @@ def test_rows_do_not_depend_on_batch_width(request, system):
             for lo in range(0, 600, width):
                 rows = increments[lo : lo + width]
                 blocks = [rows[:, a:b] for a, b in zip(cut, cut[1:])]
-                parts.append(list(stepper.states(f0[:, lo : lo + width], blocks)))
-            # every yielded state, final one included: i, F, fid, x_mean, u, norms, ok,
-            # each with the trajectories along its last (batch) axis
+                parts.append(_kept(stepper.states(f0[:, lo : lo + width], blocks)))
+            # every yielded state, final one included: i, F, fid, mag, x_mean, u, norms, ok,
+            # each with the trajectories along its last (batch) axis; no column collapses,
+            # so ok is None throughout
             for i, full in enumerate(whole):
                 assert all(part[i][0] == i for part in parts)
-                for k in range(1, 5 if full[5] is None else 7):
+                assert full[7] is None and all(part[i][7] is None for part in parts)
+                for k in range(1, 6 if full[6] is None else 7):
                     sliced = np.concatenate([part[i][k] for part in parts], axis=-1)
                     assert np.array_equal(full[k], sliced), (width, len(cut) - 1, i, k)
     # no blocks at all is a run of zero steps: the start state alone
@@ -433,14 +473,14 @@ def test_simulate_matches_batch_columns_bit_for_bit(request, system):
     dt, steps, first = 1e-3, 300, 50
     seeds = range(first, first + 300)
     f0 = _to_block(np.tile(psi0, (len(seeds), 1)))
-    batch = list(_Stepper(model, law, dt).states(f0, wiener_blocks(seeds, steps, dt)))
+    batch = _kept(_Stepper(model, law, dt).states(f0, wiener_blocks(seeds, steps, dt)))
     for col, seed in enumerate(seeds[:5]):
         rec = simulate_trajectory(model, law, psi0, dt, steps * dt, seed)
         assert rec.steps == steps
         assert np.array_equal(rec.states, _to_rows(np.stack([item[1][:, col] for item in batch]).T))
         assert np.array_equal(rec.fidelity, [item[2][col] for item in batch])
-        assert np.array_equal(rec.observable_mean, [item[3][col] for item in batch])
-        assert np.array_equal(rec.controls_applied, [item[4][:, col] for item in batch[:-1]])
+        assert np.array_equal(rec.observable_mean, [item[4][col] for item in batch])
+        assert np.array_equal(rec.controls_applied, [item[5][:, col] for item in batch[:-1]])
 
 
 def test_em_step_many_matches_single_steps():

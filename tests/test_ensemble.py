@@ -255,12 +255,12 @@ class _FlakyStepper(_Stepper):
     dead_columns = ()
 
     def step(self, f, dw):
-        f_next, fid, x_mean, u, norms, ok = super().step(f, dw)
-        ok = ok.copy()
+        f_next, fid, mag, x_mean, u, norms, ok = super().step(f, dw)
+        ok = np.ones(len(norms), dtype=bool) if ok is None else ok.copy()  # None: every column alive
         for col in type(self).dead_columns:
             if col < len(ok):
                 ok[col] = False
-        return f_next, fid, x_mean, u, norms, ok
+        return f_next, fid, mag, x_mean, u, norms, ok
 
 
 def test_failed_trajectories_are_excluded(monkeypatch):

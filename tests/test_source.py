@@ -233,3 +233,33 @@ def test_only_the_reference_path_builds_a_generator_from_a_seed():
     assert set(philox_callers.values()) == {"_rng", "_generators"}, philox_callers
     assert list(rng_callers.values()).count("_generators") == 1, rng_callers
     assert list(philox_callers.values()).count("_generators") == 1, philox_callers
+
+
+_ALLOCATORS = {"empty", "zeros", "where", "array", "stack"}
+
+
+def _numpy_allocations(node):
+    """(line, name) of each np.empty, np.zeros, np.where, np.array or np.stack call under node."""
+    for call in ast.walk(node):
+        if (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and getattr(call.func.value, "id", None) == "np"
+            and call.func.attr in _ALLOCATORS
+        ):
+            yield call.lineno, call.func.attr
+
+
+def test_the_step_loop_writes_into_per_width_buffers():
+    # every array a step writes is built once per batch width by _Buffers;
+    # an allocation in the loop would come back on every step
+    tree = _trees()["dynamics.py"]
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    methods = {f.name: f for f in classes["_Stepper"].body if isinstance(f, ast.FunctionDef)}
+    found = [
+        f"dynamics.py:{line}: np.{name} in _Stepper.{method}"
+        for method in ("diagnostics", "step", "states")
+        for line, name in _numpy_allocations(methods[method])
+    ]
+    assert not found, "\n".join(found)
+    assert list(_numpy_allocations(classes["_Buffers"])), "no allocation seen in _Buffers"
